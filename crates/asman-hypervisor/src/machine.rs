@@ -27,10 +27,10 @@ use asman_guest::{Effects, GuestKernel, GuestWork, Vcrd, VcrdUpdate};
 use asman_sim::audit::{OracleQueue, SimQueue};
 use asman_sim::flight::{CatMask, FlightEv, FlightEvent, FlightRecorder, TraceCat};
 use asman_sim::registry::{MetricsRegistry, QuantileHist};
-use asman_sim::{merge_streams, Cycles, EventQueue, Fnv, SimRng, TraceBuffer};
+use asman_sim::{merge_streams, Cycles, EventQueue, Fnv, SimRng};
 
 use crate::config::{CapMode, CoschedPolicy, MachineConfig, VmSpec};
-use crate::metrics::{SchedEvent, SchedEventKind, VmAccounting};
+use crate::metrics::{SchedEventKind, VmAccounting};
 
 /// VCPU scheduling state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -265,7 +265,6 @@ pub struct Machine<Q: SimQueue<Ev> = EventQueue<Ev>> {
     total_weight: u64,
     events_processed: u64,
     run_wall: std::time::Duration,
-    sched_trace: TraceBuffer<SchedEvent>,
     /// Hypervisor-layer flight recorder (sched/credit/cosched
     /// categories). Disabled by default; every record site is guarded by
     /// a one-word mask test, so the disabled cost is a load + branch.
@@ -508,7 +507,6 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
             total_weight,
             events_processed: 0,
             run_wall: std::time::Duration::ZERO,
-            sched_trace: TraceBuffer::disabled(),
             flight: FlightRecorder::disabled(),
             idle_mask,
             queued_mask,
@@ -767,17 +765,6 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
         self.events.audit_check();
     }
 
-    /// Start recording scheduling transitions (up to `capacity` events)
-    /// for timeline reconstruction.
-    pub fn enable_schedule_trace(&mut self, capacity: usize) {
-        self.sched_trace = TraceBuffer::new(capacity);
-    }
-
-    /// The recorded scheduling transitions.
-    pub fn schedule_trace(&self) -> &TraceBuffer<SchedEvent> {
-        &self.sched_trace
-    }
-
     /// Start flight-recording: the hypervisor records the sched, credit
     /// and cosched categories of `mask`, and every VM's guest kernel
     /// records the lock, futex and barrier categories; each category
@@ -933,25 +920,13 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
 
     #[inline]
     fn trace_sched(&mut self, vcpu: usize, pcpu: usize, kind: SchedEventKind) {
-        if self.sched_trace.is_enabled() {
-            let vm = self.vcpus[vcpu].vm;
-            self.sched_trace.record(
-                self.now,
-                SchedEvent {
-                    vcpu,
-                    vm,
-                    pcpu,
-                    kind,
-                },
-            );
-        }
         if self.flight.is_enabled() {
             self.flight_sched(vcpu, pcpu, kind);
         }
     }
 
-    /// Flight-recorder mirror of `trace_sched`, out of line so the
-    /// disabled path stays a single branch in the hot functions.
+    /// Record a `trace_sched` transition, out of line so the disabled
+    /// path stays a single branch in the hot functions.
     #[cold]
     fn flight_sched(&mut self, vcpu: usize, pcpu: usize, kind: SchedEventKind) {
         let vm = self.vcpus[vcpu].vm as u32;

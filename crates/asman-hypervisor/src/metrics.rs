@@ -3,7 +3,8 @@
 use asman_sim::Cycles;
 use serde::{Deserialize, Serialize};
 
-/// Kinds of scheduling transitions recorded by the schedule trace.
+/// Kinds of scheduling transitions, recorded as flight events (park and
+/// unpark in the `credit` category, the rest in `sched`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SchedEventKind {
     /// VCPU given a PCPU.
@@ -18,19 +19,6 @@ pub enum SchedEventKind {
     Park,
     /// VCPU unparked at an accounting event.
     Unpark,
-}
-
-/// One scheduling transition (for timeline reconstruction).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct SchedEvent {
-    /// Global VCPU index.
-    pub vcpu: usize,
-    /// Owning VM index.
-    pub vm: usize,
-    /// PCPU involved (the target for dispatches, the source otherwise).
-    pub pcpu: usize,
-    /// Transition kind.
-    pub kind: SchedEventKind,
 }
 
 /// Per-VM CPU accounting.

@@ -1,81 +1,316 @@
-//! Regenerate the paper's figures.
+//! The reproduction's command line: every experiment is a target of
+//! this one binary.
 //!
 //! ```text
-//! repro [fig1|fig2|fig7|fig8|fig9|fig10|fig11|fig12|all|timeline|extensions|perf|trace|audit]
-//!       [--class s|w|a] [--seed N] [--rounds N] [--jobs N] [--json DIR]
-//!       [--trace DIR] [--trace-cats LIST] [--cells N] [-q]
+//! repro [TARGET ...] [OPTIONS]
 //! ```
 //!
-//! `timeline` renders an ASCII Gantt chart of the guest VM's VCPU duty
-//! cycles at a 22.2% online rate, under Credit and under ASMan — the
-//! visual core of the paper in two panels.
+//! With no target (or `all`), `repro` regenerates the paper's figures
+//! (`fig1` … `fig12`), printing each figure's table and shape checks;
+//! `--json DIR` additionally writes the raw series as JSON artifacts.
+//! The other targets:
 //!
-//! `perf` benchmarks the simulation engine itself (events/sec with the
-//! flight recorder disabled, gated — armed but recording nothing — and
-//! fully capturing) and writes `BENCH_engine.json`.
+//! * `extensions` — the extension-policy panel (CON, relaxed
+//!   coscheduling, out-of-VM VCRD inference).
+//! * `timeline` — an ASCII Gantt chart of the guest VM's VCPU duty
+//!   cycles at a 22.2% online rate, under Credit and under ASMan: the
+//!   visual core of the paper in two panels.
+//! * `sweep` — a free-form benchmark × online rate × scheduler grid
+//!   beyond the paper's fixed one (`--nas`, `--rates`, `--scheds`).
+//! * `trace` — flight-records the Figure 1 testbed (LU at the 22.2%
+//!   online rate) under Credit and ASMan and writes Perfetto-loadable
+//!   Chrome trace JSON, LHP episode summaries and a metrics dump into
+//!   the `--trace` directory. `--trace DIR` alongside other targets
+//!   appends this target.
+//! * `perf` — benchmarks the engine itself (events/sec with the flight
+//!   recorder disabled, gated and fully capturing) and writes
+//!   `BENCH_engine.json`.
+//! * `audit` — the differential oracle harness: `--cells` randomized
+//!   scenario cells run on both the optimized engine and the naive
+//!   oracle, comparing digests and full flight-event streams; exits 1
+//!   on any divergence. Build with `--features audit` to also run the
+//!   in-engine invariant auditor.
+//! * `cluster` — multi-host consolidation with live migration,
+//!   comparing placement policies; `--bench` runs the hosts × jobs
+//!   scaling grid instead and writes `BENCH_cluster.json`.
+//! * `series` — the consolidation cluster with the telemetry layer
+//!   armed: epoch × metric sparklines, the trailing-window Nσ anomaly
+//!   pass, scheduler-latency quantiles and the reaction-latency summary.
+//! * `soak` — the long-horizon cluster under VM churn, with amortized
+//!   audits, bounded-memory checkpoints, `--checkpoint-every` artifacts
+//!   and `--resume`.
+//! * `bisect` — steps two cluster configurations (the `--b-*` flags
+//!   turn side B's knobs) in lockstep to the first epoch whose state
+//!   digests differ, and reports the differing fields and the first
+//!   divergent flight event; exits 1 on divergence.
 //!
-//! `audit` runs the differential oracle harness: `--cells N` randomized
-//! scenario cells (default 200), each executed on both the optimized
-//! engine and the naive oracle, comparing digests and full flight-event
-//! streams; exits non-zero on any divergence. Build with
-//! `--features audit` to also run the in-engine invariant auditor.
-//!
-//! `trace` flight-records the Figure 1 testbed (LU at the 22.2% online
-//! rate) under Credit and ASMan, and writes Perfetto-loadable Chrome
-//! trace JSON, LHP episode summaries and a metrics dump into the
-//! `--trace` directory. Passing `--trace DIR` alongside figure targets
-//! appends the trace bundle to the run.
-//!
-//! `series` re-runs the consolidation cluster with the telemetry layer
-//! armed and renders the epoch × metric sparkline timeline, the
-//! trailing-window Nσ anomaly pass, per-host scheduler-latency
-//! quantiles and the reaction-latency summary; `--json DIR` writes
-//! `CLUSTER_series_<policy>.json` per policy.
-//!
-//! Prints each figure's table and shape checks; `--json DIR` additionally
-//! writes the raw series as JSON artifacts.
+//! Every option is declared once, in [`FLAGS`], with the targets whose
+//! code reads it: the parser, the usage text and the check that rejects
+//! a flag no requested target reads (exit 2) all come from that table.
 
+use std::fmt::Display;
 use std::fs;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 use asman_cluster::{ChurnSpec, Policy};
 use asman_report::bisect::Mutation;
 use asman_report::figures::{
     fig01, fig02, fig07, fig08, fig09, fig10, fig11, fig12, FigureParams, ShapeCheck,
 };
-use asman_report::{flightrec, logger, progress};
-use asman_sim::{CatMask, FaultPlan, FaultSpec};
-use asman_workloads::ProblemClass;
+use asman_report::{flightrec, logger, progress, series, Sched, WEIGHT_RATES};
+use asman_sim::{CatMask, FaultPlan, FaultSpec, TraceCat};
+use asman_workloads::{NasBenchmark, ProblemClass};
 
+/// Every target, in usage order. A [`Targets`] set has bit `i` for
+/// `TARGETS[i]`.
+const TARGETS: [&str; 18] = [
+    "fig1", "fig2", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "extensions",
+    "timeline", "sweep", "trace", "perf", "audit", "cluster", "series", "soak", "bisect",
+];
+
+type Targets = u32;
+
+const FIGS: Targets = 0xff;
+const FIG10: Targets = 1 << 5;
+const FIG11: Targets = 1 << 6;
+const FIG12: Targets = 1 << 7;
+const EXTENSIONS: Targets = 1 << 8;
+const TIMELINE: Targets = 1 << 9;
+const SWEEP: Targets = 1 << 10;
+const TRACE: Targets = 1 << 11;
+const PERF: Targets = 1 << 12;
+const AUDIT: Targets = 1 << 13;
+const CLUSTER: Targets = 1 << 14;
+const SERIES: Targets = 1 << 15;
+const SOAK: Targets = 1 << 16;
+const BISECT: Targets = 1 << 17;
+const EVERY: Targets = (1 << TARGETS.len()) - 1;
+/// The targets that build the consolidation cluster.
+const CLUSTERS: Targets = CLUSTER | SERIES | SOAK | BISECT;
+
+/// One command-line option.
+struct Flag {
+    /// Spelling; a short alias comes first, as in `-q, --quiet`.
+    name: &'static str,
+    /// The value's placeholder in the usage text, empty for a switch.
+    /// `DIR`, `PLAN`, `LIST`, `CKPT` and `CATS` also name what a missing
+    /// value is reported as.
+    value: &'static str,
+    /// The targets whose code reads the flag.
+    targets: Targets,
+    help: &'static str,
+    /// Store the value, or say what is wrong with it.
+    set: fn(&mut Args, &str) -> Result<(), String>,
+}
+
+impl Flag {
+    /// The long spelling, used in every message.
+    fn long(&self) -> &'static str {
+        self.name.rsplit(", ").next().unwrap_or(self.name)
+    }
+}
+
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { name: "-h, --help", value: "", targets: EVERY, help: "show this help",
+        set: |_, _| { println!("{}", usage()); std::process::exit(0) } },
+    Flag { name: "-q, --quiet", value: "", targets: EVERY,
+        help: "suppress progress lines and buffer-overflow warnings on stderr",
+        set: |_, _| { logger::set_quiet(true); Ok(()) } },
+    Flag { name: "--class", value: "s|w|a",
+        targets: (FIGS & !FIG10) | EXTENSIONS | TIMELINE | SWEEP | TRACE | PERF,
+        help: "NAS problem class (default w)",
+        set: |a, v| class(v).map(|c| a.params.class = c) },
+    Flag { name: "--seed", value: "N", targets: EVERY, help: "base RNG seed (default 42)",
+        set: |a, v| num(v).map(|n| a.params.seed = n) },
+    Flag { name: "--rounds", value: "N", targets: FIG11 | FIG12,
+        help: "measured rounds of the multi-VM figures (default 10)",
+        set: |a, v| at_least(v, 1).map(|n| a.params.rounds = n) },
+    Flag { name: "--jobs", value: "N", targets: EVERY & !(SWEEP | PERF),
+        help: "worker threads; 0 = one per core (default 0). Results are bit-identical \
+               for every value",
+        set: |a, v| num(v).map(|n| a.params.jobs = n) },
+    Flag { name: "--json", value: "DIR",
+        targets: FIGS | EXTENSIONS | TRACE | PERF | AUDIT | CLUSTER | SERIES | SOAK,
+        help: "also write the JSON artifacts (raw series, reports, BENCH files, \
+               checkpoints) into DIR",
+        set: |a, v| { a.json_dir = Some(v.into()); Ok(()) } },
+    Flag { name: "--trace", value: "DIR", targets: TRACE | CLUSTER,
+        help: "write the flight-recorder bundle (Chrome trace, LHP episodes, metrics) \
+               into DIR; implies the trace target. cluster writes its host-tagged \
+               flight streams there too",
+        set: |a, v| { a.trace_dir = Some(v.into()); Ok(()) } },
+    Flag { name: "--trace-cats", value: "CATS", targets: TRACE | CLUSTER,
+        help: "comma list of flight categories to record, of \
+               sched,credit,cosched,lock,futex,barrier,fault (default all)",
+        set: |a, v| cats(v).map(|m| a.trace_cats = m) },
+    Flag { name: "--cells", value: "N", targets: AUDIT,
+        help: "randomized scenario cells in the audit grid (default 200)",
+        set: |a, v| num(v).map(|n| a.cells = n) },
+    Flag { name: "--hosts", value: "N", targets: CLUSTERS,
+        help: "simulated hosts; migration needs at least 2 (default 3)",
+        set: |a, v| at_least(v, 2).map(|n| a.hosts = n) },
+    Flag { name: "--vms", value: "N", targets: CLUSTERS,
+        help: "gang VMs consolidated on host 0 (default 2)",
+        set: |a, v| at_least(v, 1).map(|n| a.vms = n) },
+    Flag { name: "--epochs", value: "N", targets: CLUSTERS,
+        help: "balancer epochs (default 8; soak: 100000)",
+        set: |a, v| at_least(v, 1).map(|n| a.epochs = n) },
+    Flag { name: "--policy", value: "P", targets: CLUSTER | SERIES | BISECT,
+        help: "compare only static vs P, one of static|least-loaded|vcrd-aware \
+               (default: all three). bisect: side A's policy (default vcrd-aware)",
+        set: |a, v| policy(v).map(|p| a.policy = Some(p)) },
+    Flag { name: "--faults", value: "PLAN", targets: CLUSTER | SERIES | BISECT,
+        help: "inject faults: a comma list of crash@E:hH | slow@E:hH:P | abort@E \
+               tokens, or rand:SEED for a generated plan",
+        set: |a, v| FaultSpec::parse(v).map(|s| a.faults = Some(s)) },
+    Flag { name: "--churn", value: "PLAN", targets: SOAK | BISECT,
+        help: "VM arrivals and departures: a comma list of arrive@E:gangN[:wW] | \
+               arrive@E:bgN[:wW] | depart@E:hH:vV tokens, or rand:SEED:RATE for a \
+               generated plan (RATE% arrival and RATE% departure chance per epoch)",
+        set: |a, v| ChurnSpec::parse(v).map(|s| a.churn = s) },
+    Flag { name: "--max-moves", value: "N", targets: CLUSTERS,
+        help: "concurrent migrations the balancer may plan per epoch (default hosts/8, \
+               at least 1; 1 reproduces the historical single-move driver bit for bit)",
+        set: |a, v| at_least(v, 1).map(|n| a.max_moves = Some(n)) },
+    Flag { name: "--audit-every", value: "N", targets: SOAK,
+        help: "audit and occupancy-checkpoint cadence in epochs (default 1000; the \
+               end-of-run audit always runs)",
+        set: |a, v| at_least(v, 1).map(|n| a.audit_every = n) },
+    Flag { name: "--checkpoint-every", value: "N", targets: SOAK,
+        help: "write a CKPT_<epoch>.json checkpoint into the --json directory every N \
+               epochs",
+        set: |a, v| at_least(v, 1).map(|n| a.checkpoint_every = n) },
+    Flag { name: "--resume", value: "CKPT", targets: SOAK,
+        help: "resume from a checkpoint file, or from the newest CKPT_<epoch>.json in a \
+               directory: replay to its epoch, verify the replay against it, and \
+               continue byte-identically to the uninterrupted run. The scenario comes \
+               from the checkpoint, so only --epochs, --jobs, --json and \
+               --checkpoint-every may accompany it",
+        set: |a, v| { a.resume = Some(v.into()); Ok(()) } },
+    Flag { name: "--b-policy", value: "P", targets: BISECT,
+        help: "side B's policy (default: side A's)",
+        set: |a, v| policy(v).map(|p| a.b_policy = Some(p)) },
+    Flag { name: "--b-seed", value: "N", targets: BISECT,
+        help: "side B's seed (default: side A's)",
+        set: |a, v| num(v).map(|n| a.b_seed = Some(n)) },
+    Flag { name: "--b-faults", value: "PLAN", targets: BISECT, help: "side B's fault plan",
+        set: |a, v| FaultSpec::parse(v).map(|s| a.b_faults = Some(s)) },
+    Flag { name: "--b-churn", value: "PLAN", targets: BISECT, help: "side B's churn plan",
+        set: |a, v| ChurnSpec::parse(v).map(|s| a.b_churn = Some(s)) },
+    Flag { name: "--b-mutate", value: "M", targets: BISECT,
+        help: "inject a behavioral mutation into side B: dirty-undercount (halved \
+               dirty-page rate) or boost-skip (host 0 skips BOOST; needs a build with \
+               --features audit)",
+        set: |a, v| mutation(v).map(|m| a.b_mutate = Some(m)) },
+    Flag { name: "--bench", value: "", targets: CLUSTER,
+        help: "run the hosts x jobs performance grid instead of the consolidation \
+               experiment and write BENCH_cluster.json (warmup + median of 3 per cell)",
+        set: |a, _| { a.bench = true; Ok(()) } },
+    Flag { name: "--bench-hosts", value: "LIST", targets: CLUSTER,
+        help: "host counts for --bench, each at least 2 (default 2,4,8)",
+        set: |a, v| list(v, |h| at_least(h, 2)).map(|l| a.bench_hosts = l) },
+    Flag { name: "--bench-jobs", value: "LIST", targets: CLUSTER,
+        help: "worker counts for --bench; 0 = one per core (default 1,2,4,8)",
+        set: |a, v| list(v, num).map(|l| a.bench_jobs = l) },
+    Flag { name: "--window", value: "N", targets: SERIES,
+        help: "trailing-window length in epochs for the anomaly pass (default 4)",
+        set: |a, v| at_least(v, 1).map(|n| a.window = n) },
+    Flag { name: "--nsigma", value: "X", targets: SERIES,
+        help: "flag samples more than X sigma above the trailing mean (default 3.0)",
+        set: |a, v| nsigma(v).map(|x| a.nsigma = x) },
+    Flag { name: "--nas", value: "LIST", targets: SWEEP,
+        help: "NAS benchmarks to sweep, or all (default LU)",
+        set: |a, v| nas(v).map(|l| a.nas = l) },
+    Flag { name: "--rates", value: "LIST", targets: SWEEP,
+        help: "VCPU online rates in percent, each in (0, 100] (default 100,66.7,40,22.2)",
+        set: |a, v| list(v, rate).map(|l| a.rates = l) },
+    Flag { name: "--scheds", value: "LIST", targets: SWEEP,
+        help: "schedulers to sweep, of credit,asman,con (default credit,asman)",
+        set: |a, v| list(v, sched).map(|l| a.scheds = l) },
+    Flag { name: "--csv", value: "", targets: SWEEP, help: "print CSV instead of a table",
+        set: |a, _| { a.csv = true; Ok(()) } },
+];
+
+/// Flags a resumed soak honours; the checkpoint fixes everything else.
+const RESUME_KEEPS: [&str; 6] =
+    ["--resume", "--epochs", "--jobs", "--json", "--checkpoint-every", "--quiet"];
+
+/// Everything the command line sets, holding each default until a flag
+/// overrides it.
 struct Args {
-    which: Vec<String>,
+    /// Targets to run, in order.
+    targets: Vec<&'static str>,
+    /// Long spellings of the flags given.
+    given: Vec<&'static str>,
     params: FigureParams,
     json_dir: Option<PathBuf>,
     trace_dir: Option<PathBuf>,
     trace_cats: CatMask,
-    audit_cells: usize,
+    cells: usize,
     hosts: usize,
-    cluster_vms: usize,
-    cluster_epochs: u64,
-    cluster_policy: Option<Policy>,
-    cluster_faults: FaultPlan,
-    cluster_churn: ChurnSpec,
-    cluster_epochs_set: bool,
-    audit_every: u64,
-    cluster_bench: bool,
-    bench_hosts: Vec<usize>,
-    bench_jobs: Vec<usize>,
-    series_window: usize,
-    series_nsigma: f64,
+    vms: usize,
+    epochs: u64,
+    policy: Option<Policy>,
+    faults: Option<FaultSpec>,
+    churn: ChurnSpec,
     max_moves: Option<usize>,
+    audit_every: u64,
     checkpoint_every: u64,
     resume: Option<PathBuf>,
-    scenario_flags_set: Vec<&'static str>,
     b_policy: Option<Policy>,
     b_seed: Option<u64>,
     b_faults: Option<FaultSpec>,
     b_churn: Option<ChurnSpec>,
     b_mutate: Option<Mutation>,
+    bench: bool,
+    bench_hosts: Vec<usize>,
+    bench_jobs: Vec<usize>,
+    window: usize,
+    nsigma: f64,
+    nas: Vec<NasBenchmark>,
+    rates: Vec<(u32, f64)>,
+    scheds: Vec<Sched>,
+    csv: bool,
+}
+
+impl Default for Args {
+    fn default() -> Self {
+        Args {
+            targets: Vec::new(),
+            given: Vec::new(),
+            params: FigureParams::default(),
+            json_dir: None,
+            trace_dir: None,
+            trace_cats: CatMask::ALL,
+            cells: 200,
+            hosts: 3,
+            vms: 2,
+            epochs: 8,
+            policy: None,
+            faults: None,
+            churn: ChurnSpec::default(),
+            max_moves: None,
+            audit_every: 1_000,
+            checkpoint_every: 0,
+            resume: None,
+            b_policy: None,
+            b_seed: None,
+            b_faults: None,
+            b_churn: None,
+            b_mutate: None,
+            bench: false,
+            bench_hosts: vec![2, 4, 8],
+            bench_jobs: vec![1, 2, 4, 8],
+            window: series::DEFAULT_WINDOW,
+            nsigma: series::DEFAULT_NSIGMA,
+            nas: vec![NasBenchmark::LU],
+            rates: WEIGHT_RATES.to_vec(),
+            scheds: vec![Sched::Credit, Sched::Asman],
+            csv: false,
+        }
+    }
 }
 
 impl Args {
@@ -85,95 +320,138 @@ impl Args {
     fn resolved_max_moves(&self) -> usize {
         self.max_moves.unwrap_or_else(|| (self.hosts / 8).max(1))
     }
+
+    /// The `--faults` plan, resolved against the cluster's horizon and
+    /// size.
+    fn fault_plan(&self) -> FaultPlan {
+        self.faults
+            .as_ref()
+            .map_or_else(FaultPlan::empty, |s| s.resolve(self.epochs, self.hosts))
+    }
 }
 
-const KNOWN_TARGETS: [&str; 17] = [
-    "fig1",
-    "fig2",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "timeline",
-    "extensions",
-    "perf",
-    "trace",
-    "audit",
-    "cluster",
-    "series",
-    "soak",
-    "bisect",
-];
+fn num<T: FromStr>(v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("`{v}` is not a number"))
+}
+
+fn at_least<T: FromStr + PartialOrd + Display>(v: &str, min: T) -> Result<T, String> {
+    let n = num(v)?;
+    if n < min {
+        return Err(format!("must be at least {min}"));
+    }
+    Ok(n)
+}
+
+fn list<T>(v: &str, item: impl Fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {
+    v.split(',').map(|s| item(s.trim())).collect()
+}
+
+fn nsigma(v: &str) -> Result<f64, String> {
+    let x: f64 = num(v)?;
+    if !x.is_finite() || x <= 0.0 {
+        return Err("must be a positive finite number".to_string());
+    }
+    Ok(x)
+}
+
+fn class(v: &str) -> Result<ProblemClass, String> {
+    match v.to_ascii_lowercase().as_str() {
+        "s" => Ok(ProblemClass::S),
+        "w" => Ok(ProblemClass::W),
+        "a" => Ok(ProblemClass::A),
+        _ => Err(format!("unknown class `{v}` (use s|w|a)")),
+    }
+}
+
+fn cats(v: &str) -> Result<CatMask, String> {
+    CatMask::parse(v).ok_or_else(|| {
+        let known: Vec<&str> = TraceCat::ALL.iter().map(|c| c.name()).collect();
+        format!("`{v}` has an unknown or repeated category (known: {})", known.join(","))
+    })
+}
+
+fn policy(v: &str) -> Result<Policy, String> {
+    Policy::parse(v)
+        .ok_or_else(|| format!("unknown policy `{v}` (use static|least-loaded|vcrd-aware)"))
+}
+
+fn mutation(v: &str) -> Result<Mutation, String> {
+    match Mutation::parse(v) {
+        None => Err(format!("unknown mutation `{v}` (use dirty-undercount|boost-skip)")),
+        Some(m) if !m.available() => Err(format!("{v} requires a build with --features audit")),
+        Some(m) => Ok(m),
+    }
+}
+
+fn nas(v: &str) -> Result<Vec<NasBenchmark>, String> {
+    if v == "all" {
+        return Ok(NasBenchmark::ALL.to_vec());
+    }
+    list(v, |name| {
+        NasBenchmark::ALL
+            .into_iter()
+            .find(|b| b.name().eq_ignore_ascii_case(name))
+            .ok_or_else(|| format!("unknown benchmark `{name}`"))
+    })
+}
+
+/// An online rate in percent, with the V1 weight that yields it.
+/// Equation 2 with V0 weight 256, |P| = 8 and |C| = 4 gives
+/// rate = 2w/(w+256), so w = 256·rate/(2−rate).
+fn rate(v: &str) -> Result<(u32, f64), String> {
+    let pct: f64 = num(v)?;
+    if !(pct > 0.0 && pct <= 100.0) {
+        return Err(format!("`{v}` is not a rate in (0, 100]"));
+    }
+    let r = pct / 100.0;
+    Ok((((256.0 * r / (2.0 - r)).round() as u32).max(1), pct))
+}
+
+fn sched(v: &str) -> Result<Sched, String> {
+    Sched::ALL
+        .into_iter()
+        .find(|s| s.label().eq_ignore_ascii_case(v))
+        .ok_or_else(|| format!("unknown scheduler `{v}` (use credit|asman|con)"))
+}
+
+/// The names of the targets in `set`.
+fn names(set: Targets) -> Vec<&'static str> {
+    (0..TARGETS.len())
+        .filter(|i| set & 1 << i != 0)
+        .map(|i| TARGETS[i])
+        .collect()
+}
 
 fn usage() -> String {
-    format!(
+    const INDENT: usize = 24;
+    let mut s = format!(
         "usage: repro [TARGET ...] [OPTIONS]\n\n\
-         Targets (default: all figures):\n  \
-         {}\n  \
-         all         every figN target\n\n\
-         Options:\n  \
-         --class s|w|a   NAS problem class (default w)\n  \
-         --seed N        base RNG seed (default 42)\n  \
-         --rounds N      measured rounds for round-based figures (default 5)\n  \
-         --jobs N        sweep worker threads; 0 = one per core (default 0).\n                  \
-         Results are bit-identical for every value.\n  \
-         --json DIR      also write raw series as JSON artifacts into DIR\n  \
-         --trace DIR     write the flight-recorder bundle (Chrome trace,\n                  \
-         LHP episodes, metrics) into DIR; implies the `trace` target\n  \
-         --trace-cats L  comma-separated categories to record\n                  \
-         (sched,credit,cosched,lock,futex,barrier; default all)\n  \
-         --cells N       audit grid size for the `audit` target (default 200)\n  \
-         --hosts N       cluster target: simulated hosts (default 3)\n  \
-         --vms N         cluster target: gang VMs consolidated on host 0 (default 2)\n  \
-         --epochs N      cluster target: balancer epochs (default 8)\n  \
-         --policy P      cluster target: compare only static vs P\n                  \
-         (static|least-loaded|vcrd-aware; default: all three)\n  \
-         --faults PLAN   cluster target: inject faults. PLAN is either a\n                  \
-         comma list of crash@E:hH | slow@E:hH:P | abort@E tokens,\n                  \
-         or rand:SEED for a generated plan\n  \
-         --churn PLAN    soak target: VM arrival/departure schedule. PLAN is\n                  \
-         a comma list of arrive@E:gangN[:wW] | arrive@E:bgN[:wW] |\n                  \
-         depart@E:hH:vV tokens, or rand:SEED:RATE for a generated\n                  \
-         plan (RATE%% arrival + RATE%% departure chance per epoch)\n  \
-         --audit-every N soak target: audit + occupancy-checkpoint cadence\n                  \
-         in epochs (default 1000; the end-of-run audit always runs)\n  \
-         --max-moves N   cluster-family targets: concurrent migrations the\n                  \
-         balancer may plan per epoch (default: hosts/8, floored at 1;\n                  \
-         1 reproduces the historical single-move driver bit-for-bit)\n  \
-         --checkpoint-every N\n                  \
-         soak target: write a CKPT_<epoch>.json checkpoint into the\n                  \
-         --json directory every N epochs (requires --json DIR)\n  \
-         --resume CKPT   soak target: resume from a checkpoint file, or from\n                  \
-         a directory (picks the newest CKPT_<epoch>.json by\n                  \
-         numeric epoch). The run\n                  \
-         replays to the checkpoint epoch, verifies the replay against\n                  \
-         the artifact, applies its state, and continues — output is\n                  \
-         byte-identical to the uninterrupted run. The scenario comes\n                  \
-         from the checkpoint: --hosts/--vms/--seed/--churn/--faults\n                  \
-         conflict with --resume (--epochs/--jobs/--json still apply)\n  \
-         --b-policy P    bisect target: side B's policy (default: side A's)\n  \
-         --b-seed N      bisect target: side B's seed (default: side A's)\n  \
-         --b-faults PLAN bisect target: side B's fault plan\n  \
-         --b-churn PLAN  bisect target: side B's churn plan\n  \
-         --b-mutate M    bisect target: inject a behavioral mutation into\n                  \
-         side B: dirty-undercount (halved dirty-page rate) or\n                  \
-         boost-skip (host 0 skips BOOST; needs --features audit)\n  \
-         --bench         cluster target: run the hosts x jobs performance\n                  \
-         grid instead of the consolidation experiment and write\n                  \
-         BENCH_cluster.json (warmup + median-of-3 per cell)\n  \
-         --bench-hosts L comma list of host counts for --bench (default 2,4,8)\n  \
-         --bench-jobs L  comma list of worker counts for --bench\n                  \
-         (default 1,2,4,8; 0 = one per core)\n  \
-         --window N      series target: trailing-window length in epochs\n                  \
-         for the anomaly pass (default 4)\n  \
-         --nsigma X      series target: flag samples more than X sigma\n                  \
-         above the trailing mean (default 3.0)\n  \
-         -q, --quiet     suppress progress lines on stderr\n  \
-         -h, --help      show this help",
-        KNOWN_TARGETS.join(" "),
-    )
+         Targets (default: all, which is every figN):\n  {}\n  {}\n\n\
+         Options, with the targets that read them:\n",
+        names(FIGS).join(" "),
+        names(EVERY & !FIGS).join(" ")
+    );
+    for f in FLAGS {
+        let mut text = f.help.to_string();
+        if f.targets != EVERY {
+            text += &format!(" [{}]", names(f.targets).join(" "));
+        }
+        s += &format!("  {:<w$}", format!("{} {}", f.name, f.value), w = INDENT - 2);
+        let mut col = INDENT;
+        for word in text.split_whitespace() {
+            if col + 1 + word.len() > 80 && col > INDENT {
+                s += &format!("\n{:INDENT$}", "");
+                col = INDENT;
+            } else if col > INDENT {
+                s.push(' ');
+                col += 1;
+            }
+            s += word;
+            col += word.len();
+        }
+        s.push('\n');
+    }
+    s
 }
 
 fn fail(msg: &str) -> ! {
@@ -182,366 +460,96 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Fail unless every host a plan names exists.
+fn check_hosts(flag: &str, named: Option<usize>, hosts: usize) {
+    if let Some(h) = named.filter(|&h| h >= hosts) {
+        fail(&format!("{flag} names host {h} but the cluster only has {hosts} hosts"));
+    }
+}
+
 fn parse_args() -> Args {
-    let mut which = Vec::new();
-    let mut params = FigureParams::default();
-    let mut json_dir = None;
-    let mut trace_dir = None;
-    let mut trace_cats = CatMask::ALL;
-    let mut audit_cells = 200usize;
-    let mut hosts = 3usize;
-    let mut cluster_vms = 2usize;
-    let mut cluster_epochs = 8u64;
-    let mut cluster_policy = None;
-    let mut cluster_faults: Option<FaultSpec> = None;
-    let mut cluster_churn: Option<ChurnSpec> = None;
-    let mut cluster_epochs_set = false;
-    let mut audit_every = 1_000u64;
-    let mut cluster_bench = false;
-    let mut bench_hosts = vec![2usize, 4, 8];
-    let mut bench_jobs = vec![1usize, 2, 4, 8];
-    let mut series_window = asman_report::series::DEFAULT_WINDOW;
-    let mut series_nsigma = asman_report::series::DEFAULT_NSIGMA;
-    let mut max_moves: Option<usize> = None;
-    let mut checkpoint_every = 0u64;
-    let mut resume = None;
-    let mut scenario_flags_set: Vec<&'static str> = Vec::new();
-    let mut b_policy = None;
-    let mut b_seed = None;
-    let mut b_faults: Option<FaultSpec> = None;
-    let mut b_churn: Option<ChurnSpec> = None;
-    let mut b_mutate = None;
-    // Comma-separated numeric list for the bench grid flags; any
-    // non-numeric element exits 2 like every other malformed value.
-    fn parse_list(flag: &str, v: &str) -> Vec<usize> {
-        let vals: Vec<usize> = v
-            .split(',')
-            .map(|tok| {
-                tok.trim()
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("{flag} `{tok}` is not a number")))
-            })
-            .collect();
-        if vals.is_empty() {
-            fail(&format!("{flag} needs at least one value"));
-        }
-        vals
-    }
+    let mut a = Args::default();
+    let mut all = false;
     let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "-h" | "--help" => {
-                println!("{}", usage());
-                std::process::exit(0);
+    while let Some(arg) = it.next() {
+        if !arg.starts_with('-') {
+            match TARGETS.iter().find(|&&t| t == arg) {
+                Some(t) => a.targets.push(t),
+                None if arg == "all" => all = true,
+                None => fail(&format!("unknown target `{arg}`")),
             }
-            "-q" | "--quiet" => logger::set_quiet(true),
-            "--trace" => {
-                trace_dir = Some(PathBuf::from(
-                    it.next().unwrap_or_else(|| fail("--trace needs a directory")),
-                ));
-            }
-            "--trace-cats" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| fail("--trace-cats needs a category list"));
-                trace_cats = CatMask::parse(&v).unwrap_or_else(|| {
-                    fail(&format!(
-                        "--trace-cats `{v}` has an unknown category \
-                         (known: sched,credit,cosched,lock,futex,barrier,fault)"
-                    ))
-                });
-            }
-            "--class" => {
-                params.class = match it.next().as_deref().map(str::to_ascii_lowercase).as_deref() {
-                    Some("s") => ProblemClass::S,
-                    Some("w") => ProblemClass::W,
-                    Some("a") => ProblemClass::A,
-                    Some(other) => fail(&format!("unknown class `{other}` (use s|w|a)")),
-                    None => fail("--class needs a value (s|w|a)"),
+            continue;
+        }
+        let f = FLAGS
+            .iter()
+            .find(|f| f.name.split(", ").any(|n| n == arg))
+            .unwrap_or_else(|| fail(&format!("unknown option `{arg}`")));
+        let v = match f.value {
+            "" => String::new(),
+            kind => it.next().unwrap_or_else(|| {
+                let what = match kind {
+                    "DIR" => "a directory",
+                    "PLAN" => "a plan",
+                    "LIST" => "a comma list",
+                    "CKPT" => "a checkpoint file",
+                    "CATS" => "a category list",
+                    _ => "a value",
                 };
-            }
-            "--seed" => {
-                let v = it.next().unwrap_or_else(|| fail("--seed needs a value"));
-                params.seed = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("--seed `{v}` is not a number")));
-                scenario_flags_set.push("--seed");
-            }
-            "--rounds" => {
-                let v = it.next().unwrap_or_else(|| fail("--rounds needs a value"));
-                params.rounds = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("--rounds `{v}` is not a number")));
-            }
-            "--jobs" => {
-                let v = it.next().unwrap_or_else(|| fail("--jobs needs a value"));
-                params.jobs = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("--jobs `{v}` is not a number")));
-            }
-            "--json" => {
-                json_dir = Some(PathBuf::from(
-                    it.next().unwrap_or_else(|| fail("--json needs a directory")),
-                ));
-            }
-            "--cells" => {
-                let v = it.next().unwrap_or_else(|| fail("--cells needs a value"));
-                audit_cells = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("--cells `{v}` is not a number")));
-            }
-            "--hosts" => {
-                let v = it.next().unwrap_or_else(|| fail("--hosts needs a value"));
-                hosts = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("--hosts `{v}` is not a number")));
-                if hosts < 2 {
-                    fail("--hosts must be at least 2 (migration needs a destination)");
-                }
-                scenario_flags_set.push("--hosts");
-            }
-            "--vms" => {
-                let v = it.next().unwrap_or_else(|| fail("--vms needs a value"));
-                cluster_vms = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("--vms `{v}` is not a number")));
-                if cluster_vms < 1 {
-                    fail("--vms must be at least 1");
-                }
-                scenario_flags_set.push("--vms");
-            }
-            "--epochs" => {
-                let v = it.next().unwrap_or_else(|| fail("--epochs needs a value"));
-                cluster_epochs = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("--epochs `{v}` is not a number")));
-                if cluster_epochs < 1 {
-                    fail("--epochs must be at least 1");
-                }
-                cluster_epochs_set = true;
-            }
-            "--faults" => {
-                let v = it.next().unwrap_or_else(|| fail("--faults needs a plan"));
-                cluster_faults = Some(
-                    FaultSpec::parse(&v).unwrap_or_else(|e| fail(&format!("--faults {e}"))),
-                );
-                scenario_flags_set.push("--faults");
-            }
-            "--churn" => {
-                let v = it.next().unwrap_or_else(|| fail("--churn needs a plan"));
-                cluster_churn = Some(
-                    ChurnSpec::parse(&v).unwrap_or_else(|e| fail(&format!("--churn {e}"))),
-                );
-                scenario_flags_set.push("--churn");
-            }
-            "--audit-every" => {
-                let v = it.next().unwrap_or_else(|| fail("--audit-every needs a value"));
-                audit_every = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("--audit-every `{v}` is not a number")));
-                if audit_every < 1 {
-                    fail("--audit-every must be at least 1");
-                }
-            }
-            "--window" => {
-                let v = it.next().unwrap_or_else(|| fail("--window needs a value"));
-                series_window = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("--window `{v}` is not a number")));
-                if series_window < 1 {
-                    fail("--window must be at least 1");
-                }
-            }
-            "--nsigma" => {
-                let v = it.next().unwrap_or_else(|| fail("--nsigma needs a value"));
-                series_nsigma = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("--nsigma `{v}` is not a number")));
-                if !series_nsigma.is_finite() || series_nsigma <= 0.0 {
-                    fail("--nsigma must be a positive finite number");
-                }
-            }
-            "--max-moves" => {
-                let v = it.next().unwrap_or_else(|| fail("--max-moves needs a value"));
-                let n: usize = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("--max-moves `{v}` is not a number")));
-                if n < 1 {
-                    fail("--max-moves must be at least 1");
-                }
-                max_moves = Some(n);
-                scenario_flags_set.push("--max-moves");
-            }
-            "--checkpoint-every" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| fail("--checkpoint-every needs a value"));
-                checkpoint_every = v.parse().unwrap_or_else(|_| {
-                    fail(&format!("--checkpoint-every `{v}` is not a number"))
-                });
-                if checkpoint_every < 1 {
-                    fail("--checkpoint-every must be at least 1");
-                }
-            }
-            "--resume" => {
-                resume = Some(PathBuf::from(
-                    it.next()
-                        .unwrap_or_else(|| fail("--resume needs a checkpoint file")),
-                ));
-            }
-            "--b-policy" => {
-                let v = it.next().unwrap_or_else(|| {
-                    fail("--b-policy needs a value (static|least-loaded|vcrd-aware)")
-                });
-                b_policy = Some(Policy::parse(&v).unwrap_or_else(|| {
-                    fail(&format!(
-                        "unknown policy `{v}` (use static|least-loaded|vcrd-aware)"
-                    ))
-                }));
-            }
-            "--b-seed" => {
-                let v = it.next().unwrap_or_else(|| fail("--b-seed needs a value"));
-                b_seed = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(&format!("--b-seed `{v}` is not a number"))),
-                );
-            }
-            "--b-faults" => {
-                let v = it.next().unwrap_or_else(|| fail("--b-faults needs a plan"));
-                b_faults = Some(
-                    FaultSpec::parse(&v).unwrap_or_else(|e| fail(&format!("--b-faults {e}"))),
-                );
-            }
-            "--b-churn" => {
-                let v = it.next().unwrap_or_else(|| fail("--b-churn needs a plan"));
-                b_churn = Some(
-                    ChurnSpec::parse(&v).unwrap_or_else(|e| fail(&format!("--b-churn {e}"))),
-                );
-            }
-            "--b-mutate" => {
-                let v = it.next().unwrap_or_else(|| {
-                    fail("--b-mutate needs a value (dirty-undercount|boost-skip)")
-                });
-                b_mutate = Some(Mutation::parse(&v).unwrap_or_else(|| {
-                    fail(&format!(
-                        "unknown mutation `{v}` (use dirty-undercount|boost-skip)"
-                    ))
-                }));
-            }
-            "--bench" => cluster_bench = true,
-            "--bench-hosts" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| fail("--bench-hosts needs a comma list"));
-                bench_hosts = parse_list("--bench-hosts", &v);
-                if bench_hosts.iter().any(|&h| h < 2) {
-                    fail("--bench-hosts values must be at least 2");
-                }
-            }
-            "--bench-jobs" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| fail("--bench-jobs needs a comma list"));
-                bench_jobs = parse_list("--bench-jobs", &v);
-            }
-            "--policy" => {
-                let v = it.next().unwrap_or_else(|| {
-                    fail("--policy needs a value (static|least-loaded|vcrd-aware)")
-                });
-                cluster_policy = Some(Policy::parse(&v).unwrap_or_else(|| {
-                    fail(&format!(
-                        "unknown policy `{v}` (use static|least-loaded|vcrd-aware)"
-                    ))
-                }));
-            }
-            flag if flag.starts_with('-') => fail(&format!("unknown option `{flag}`")),
-            "all" => which.push("all".to_string()),
-            fig if KNOWN_TARGETS.contains(&fig) => which.push(fig.to_string()),
-            other => fail(&format!("unknown target `{other}`")),
-        }
+                fail(&format!("{} needs {what}", f.long()))
+            }),
+        };
+        (f.set)(&mut a, &v).unwrap_or_else(|e| fail(&format!("{}: {e}", f.long())));
+        a.given.push(f.long());
     }
-    if which.is_empty() || which.iter().any(|w| w == "all") {
-        let mut all: Vec<String> = [
-            "fig1", "fig2", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-        ]
-        .map(String::from)
-        .to_vec();
-        // Keep explicitly named non-figure targets alongside `all`.
-        all.extend(which.into_iter().filter(|w| w != "all" && !w.starts_with("fig")));
-        which = all;
+    if all || a.targets.is_empty() {
+        // Every figure, then the other targets named alongside `all`.
+        let others = a.targets.iter().filter(|t| !t.starts_with("fig"));
+        a.targets = names(FIGS).into_iter().chain(others.copied()).collect();
     }
-    // `--trace DIR` alongside figure targets appends the trace bundle.
-    if trace_dir.is_some() && !which.iter().any(|w| w == "trace") {
-        which.push("trace".to_string());
+    if a.trace_dir.is_some() && !a.targets.contains(&"trace") {
+        a.targets.push("trace");
     }
-    // Resolve the fault spec now that epochs/hosts are final, and
-    // reject plans naming hosts the cluster won't have.
-    let cluster_faults = match cluster_faults {
-        Some(spec) => {
-            let plan = spec.resolve(cluster_epochs, hosts);
-            if let Some(h) = plan.max_host() {
-                if h >= hosts {
-                    fail(&format!(
-                        "--faults names host {h} but the cluster only has {hosts} hosts"
-                    ));
-                }
-            }
-            plan
-        }
-        None => FaultPlan::empty(),
-    };
-    // A soak with no explicit --epochs runs the full default horizon,
-    // not the 8-epoch cluster-experiment default.
-    let cluster_churn = cluster_churn.unwrap_or_default();
-    if let Some(h) = cluster_churn.resolve(1, hosts).max_host() {
-        if h >= hosts {
-            fail(&format!(
-                "--churn names host {h} but the cluster only has {hosts} hosts"
-            ));
-        }
+    let requested = (0..TARGETS.len())
+        .filter(|&i| a.targets.contains(&TARGETS[i]))
+        .fold(0, |set, i| set | 1 << i);
+    let unread: Vec<String> = FLAGS
+        .iter()
+        .filter(|f| f.targets & requested == 0 && a.given.contains(&f.long()))
+        .map(|f| {
+            format!(
+                "{} is not read by {} (it is read by {})",
+                f.long(),
+                names(requested).join(", "),
+                names(f.targets).join(", ")
+            )
+        })
+        .collect();
+    if !unread.is_empty() {
+        fail(&unread.join("\nrepro: "));
+    }
+    check_hosts("--faults", a.fault_plan().max_host(), a.hosts);
+    check_hosts("--churn", a.churn.resolve(1, a.hosts).max_host(), a.hosts);
+    if let Some(spec) = &a.b_faults {
+        check_hosts("--b-faults", spec.resolve(a.epochs, a.hosts).max_host(), a.hosts);
+    }
+    if let Some(spec) = &a.b_churn {
+        check_hosts("--b-churn", spec.resolve(a.epochs, a.hosts).max_host(), a.hosts);
     }
     // Checkpoints are artifacts: they need somewhere to land.
-    if checkpoint_every != 0 && json_dir.is_none() {
+    if a.checkpoint_every != 0 && a.json_dir.is_none() {
         fail("--checkpoint-every needs --json DIR to write checkpoints into");
     }
-    if let Some(m) = b_mutate {
-        if !m.available() {
+    // The checkpoint carries the scenario; flags that would rebuild a
+    // different one are contradictions, not overrides.
+    if a.resume.is_some() {
+        if let Some(flag) = a.given.iter().find(|f| !RESUME_KEEPS.contains(f)) {
             fail(&format!(
-                "--b-mutate {} requires a build with --features audit",
-                m.label()
+                "{flag} conflicts with --resume: the scenario is rebuilt from the \
+                 checkpoint (only --epochs, --jobs, --json and --checkpoint-every apply)"
             ));
         }
     }
-    Args {
-        which,
-        params,
-        json_dir,
-        trace_dir,
-        trace_cats,
-        audit_cells,
-        hosts,
-        cluster_vms,
-        cluster_epochs,
-        cluster_policy,
-        cluster_faults,
-        cluster_churn,
-        cluster_epochs_set,
-        audit_every,
-        cluster_bench,
-        bench_hosts,
-        bench_jobs,
-        series_window,
-        series_nsigma,
-        max_moves,
-        checkpoint_every,
-        resume,
-        scenario_flags_set,
-        b_policy,
-        b_seed,
-        b_faults,
-        b_churn,
-        b_mutate,
-    }
+    a
 }
 
 fn emit<T: serde::Serialize>(
@@ -590,21 +598,15 @@ fn run_trace(args: &Args) {
 }
 
 fn run_timeline(p: &FigureParams) {
-    use asman_report::{Sched, SingleVmScenario, Timeline};
+    use asman_report::Timeline;
     use asman_sim::Clock;
-    use asman_workloads::{NasBenchmark, NasSpec};
     let clk = Clock::default();
     // Render both panels as strings on the sweep runner, then print in
     // the fixed Credit-then-ASMan order.
     let panels = p
         .runner()
         .map(vec![Sched::Credit, Sched::Asman], |sched| {
-            let sc = SingleVmScenario::new(sched, 32, p.seed);
-            let lu = NasSpec::new(NasBenchmark::LU, p.class, 4).build(p.seed ^ 7);
-            let mut m = sc.build(Box::new(lu));
-            m.enable_schedule_trace(500_000);
-            m.run_until(clk.secs(3));
-            let tl = Timeline::from_machine(&m);
+            let tl = Timeline::lu_testbed(sched, p.class, p.seed);
             format!(
                 "LU @ 22.2% under {} — guest VCPU duty cycles, 400 ms window\n(# online, + partial, . offline; rows: dom0 x8 then guest x4)\n{}",
                 sched.label(),
@@ -621,7 +623,7 @@ fn run_timeline(p: &FigureParams) {
 /// `Machine::perf()`. Writes `BENCH_engine.json` (into the `--json`
 /// directory, or the working directory).
 fn run_perf(args: &Args) {
-    use asman_report::{Sched, SingleVmScenario};
+    use asman_report::SingleVmScenario;
     use asman_workloads::{NasBenchmark, NasSpec};
     use serde::Serialize;
 
@@ -807,11 +809,11 @@ fn run_perf(args: &Args) {
 /// first mismatching event of each divergent cell with context.
 fn run_audit(args: &Args) {
     use asman_report::audit;
-    let report = audit::run_grid(args.audit_cells, args.params.seed, args.params.jobs);
+    let report = audit::run_grid(args.cells, args.params.seed, args.params.jobs);
     println!("{}", report.render());
     // jobs cross-check: the same leading cells under 1 and 4 workers
     // must produce identical digests.
-    let sub = args.audit_cells.min(18);
+    let sub = args.cells.min(18);
     let seq = audit::run_grid(sub, args.params.seed, 1);
     let par = audit::run_grid(sub, args.params.seed, 4);
     let jobs_ok = seq.digests == par.digests;
@@ -837,7 +839,7 @@ fn run_audit(args: &Args) {
 
 /// The policies a cluster-family target compares, from `--policy`.
 fn cluster_policies(args: &Args) -> Vec<Policy> {
-    match args.cluster_policy {
+    match args.policy {
         // A single policy is always compared against the static
         // baseline, which anchors every shape check.
         Some(Policy::Static) => vec![Policy::Static],
@@ -855,19 +857,19 @@ fn run_cluster(args: &Args) {
     use asman_report::cluster;
     use serde::Serialize;
 
-    if args.cluster_bench {
+    if args.bench {
         run_cluster_bench(args);
         return;
     }
     let policies = cluster_policies(args);
     let p = cluster::ClusterParams {
         hosts: args.hosts,
-        gangs: args.cluster_vms,
-        epochs: args.cluster_epochs,
+        gangs: args.vms,
+        epochs: args.epochs,
         seed: args.params.seed,
         jobs: args.params.jobs,
         policies: policies.clone(),
-        faults: args.cluster_faults.clone(),
+        faults: args.fault_plan(),
         max_moves: args.resolved_max_moves(),
     };
     let exp = cluster::run(&p);
@@ -922,21 +924,21 @@ fn run_cluster(args: &Args) {
 /// `--json DIR`, writes one `CLUSTER_series_<policy>.json` per policy
 /// (byte-identical for every `--jobs` value).
 fn run_series(args: &Args) {
-    use asman_report::{cluster, series};
+    use asman_report::cluster;
 
     let p = series::SeriesParams {
         cluster: cluster::ClusterParams {
             hosts: args.hosts,
-            gangs: args.cluster_vms,
-            epochs: args.cluster_epochs,
+            gangs: args.vms,
+            epochs: args.epochs,
             seed: args.params.seed,
             jobs: args.params.jobs,
             policies: cluster_policies(args),
-            faults: args.cluster_faults.clone(),
+            faults: args.fault_plan(),
             max_moves: args.resolved_max_moves(),
         },
-        window: args.series_window,
-        nsigma: args.series_nsigma,
+        window: args.window,
+        nsigma: args.nsigma,
     };
     let rep = series::run(&p);
     println!("{}", rep.render());
@@ -960,15 +962,11 @@ fn run_soak(args: &Args) {
     use asman_report::{checkpoint, soak};
 
     let defaults = soak::SoakParams::default();
+    // A soak with no explicit --epochs runs its own long-horizon
+    // default (or, resumed, the horizon the checkpointed run was headed
+    // for), not the 8-epoch cluster-experiment default.
+    let epochs_given = args.given.contains(&"--epochs");
     let p = if let Some(path) = &args.resume {
-        // The checkpoint carries the scenario; flags that would rebuild
-        // a *different* scenario are contradictions, not overrides.
-        if let Some(flag) = args.scenario_flags_set.first() {
-            fail(&format!(
-                "{flag} conflicts with --resume: the scenario is rebuilt from the \
-                 checkpoint (only --epochs, --jobs, --json and --checkpoint-every apply)"
-            ));
-        }
         // A directory means "the newest checkpoint in here", found by
         // numeric epoch (lexicographic order lies past epoch 999,999).
         let path = if path.is_dir() {
@@ -978,13 +976,7 @@ fn run_soak(args: &Args) {
         };
         let ck = checkpoint::read_checkpoint(&path)
             .unwrap_or_else(|e| fail(&format!("--resume {e}")));
-        // --epochs may extend or shorten the horizon; default to the
-        // horizon the checkpointed run was headed for.
-        let epochs = if args.cluster_epochs_set {
-            args.cluster_epochs
-        } else {
-            ck.config.epochs
-        };
+        let epochs = if epochs_given { args.epochs } else { ck.config.epochs };
         if ck.state.epoch >= epochs {
             fail(&format!(
                 "--resume checkpoint is at epoch {} but the horizon is {epochs}; \
@@ -1008,20 +1000,14 @@ fn run_soak(args: &Args) {
             ..defaults
         }
     } else {
-        // A soak with no explicit --epochs runs its own long-horizon
-        // default, not the 8-epoch cluster-experiment default.
-        let epochs = if args.cluster_epochs_set {
-            args.cluster_epochs
-        } else {
-            defaults.epochs
-        };
+        let epochs = if epochs_given { args.epochs } else { defaults.epochs };
         soak::SoakParams {
             hosts: args.hosts,
-            gangs: args.cluster_vms,
+            gangs: args.vms,
             epochs,
             seed: args.params.seed,
             jobs: args.params.jobs,
-            churn: args.cluster_churn.resolve(epochs, args.hosts),
+            churn: args.churn.resolve(epochs, args.hosts),
             audit_every: args.audit_every.min(epochs),
             checkpoint_every: args.checkpoint_every,
             ckpt_dir: args.json_dir.clone(),
@@ -1038,32 +1024,32 @@ fn run_soak(args: &Args) {
 
 /// The divergence bisector (`repro bisect`): build side A from the
 /// cluster-family flags and side B from the `--b-*` overrides (or an
-/// injected `--b-mutate` behavioral mutation), then binary-search the
-/// first epoch boundary whose cluster state digests differ and report
-/// the first divergent flight event in context. Exits 0 when the runs
-/// are bit-identical, 1 on divergence.
+/// injected `--b-mutate` behavioral mutation), step both to the first
+/// epoch boundary whose cluster state digests differ, and report the
+/// first divergent flight event in context. Exits 0 when the runs are
+/// bit-identical, 1 on divergence.
 fn run_bisect(args: &Args) {
     use asman_cluster::{scenario::ConsolidationSpec, CheckpointConfig, ClusterConfig};
     use asman_report::bisect;
 
     let d = ClusterConfig::default();
-    let epochs = args.cluster_epochs;
-    let churn_a = args.cluster_churn.resolve(epochs, args.hosts);
+    let epochs = args.epochs;
+    let churn_a = args.churn.resolve(epochs, args.hosts);
     let a = CheckpointConfig {
         scenario: ConsolidationSpec {
             hosts: args.hosts,
-            gangs: args.cluster_vms,
+            gangs: args.vms,
             seed: args.params.seed,
             ..ConsolidationSpec::default()
         },
         epoch_ms: d.epoch_ms,
         epochs,
-        policy: args.cluster_policy.unwrap_or(Policy::VcrdAware),
+        policy: args.policy.unwrap_or(Policy::VcrdAware),
         cooldown_epochs: d.cooldown_epochs,
         retry_cap: d.retry_cap,
         audit_every: d.audit_every,
         model: d.model,
-        faults: args.cluster_faults.clone(),
+        faults: args.fault_plan(),
         slot_reuse: !churn_a.is_empty(),
         churn: churn_a,
         series_capacity: 0,
@@ -1078,25 +1064,9 @@ fn run_bisect(args: &Args) {
     }
     if let Some(spec) = &args.b_faults {
         b.faults = spec.resolve(epochs, args.hosts);
-        if let Some(h) = b.faults.max_host() {
-            if h >= args.hosts {
-                fail(&format!(
-                    "--b-faults names host {h} but the cluster only has {} hosts",
-                    args.hosts
-                ));
-            }
-        }
     }
     if let Some(spec) = &args.b_churn {
         b.churn = spec.resolve(epochs, args.hosts);
-        if let Some(h) = b.churn.max_host() {
-            if h >= args.hosts {
-                fail(&format!(
-                    "--b-churn names host {h} but the cluster only has {} hosts",
-                    args.hosts
-                ));
-            }
-        }
         b.slot_reuse = b.slot_reuse || !b.churn.is_empty();
     }
     // Slot reuse changes tombstone behavior, so both sides must agree
@@ -1129,7 +1099,7 @@ fn run_cluster_bench(args: &Args) {
     let p = clusterbench::BenchParams {
         hosts_grid: args.bench_hosts.clone(),
         jobs_grid: args.bench_jobs.clone(),
-        epochs: args.cluster_epochs,
+        epochs: args.epochs,
         seed: args.params.seed,
         max_moves: args.max_moves,
         ..clusterbench::BenchParams::default()
@@ -1143,6 +1113,63 @@ fn run_cluster_bench(args: &Args) {
     progress!("wrote {}", path.display());
 }
 
+/// The free-form sweep (`repro sweep`): one row per NAS benchmark ×
+/// online rate × scheduler with run time, slowdown against the 100%
+/// Credit baseline, spin waste and VCRD activity.
+fn run_sweep(args: &Args) {
+    use asman_report::SingleVmScenario;
+    use asman_workloads::NasSpec;
+
+    let p = &args.params;
+    if args.csv {
+        println!("bench,rate_pct,sched,run_secs,slowdown,spin_secs,vcrd_raises,high_frac");
+    } else {
+        println!(
+            "{:<6} {:>7} {:<7} {:>9} {:>9} {:>9} {:>7} {:>6}",
+            "bench", "rate%", "sched", "run(s)", "slowdown", "spin(s)", "raises", "high%"
+        );
+    }
+    for &bench in &args.nas {
+        let run = |sched, weight| {
+            let program = NasSpec::new(bench, p.class, 4).build(p.seed ^ 7);
+            SingleVmScenario::new(sched, weight, p.seed).run(Box::new(program))
+        };
+        let base = run(Sched::Credit, 256);
+        for &(w, pct) in &args.rates {
+            for &sched in &args.scheds {
+                let out = run(sched, w);
+                let spin = out.spin_kernel_secs + out.spin_pipeline_secs + out.spin_barrier_secs;
+                let slowdown = out.run_secs / base.run_secs;
+                if args.csv {
+                    println!(
+                        "{},{},{},{:.3},{:.3},{:.3},{},{:.3}",
+                        bench.name(),
+                        pct,
+                        sched.label(),
+                        out.run_secs,
+                        slowdown,
+                        spin,
+                        out.vcrd_raises,
+                        out.vcrd_high_frac
+                    );
+                } else {
+                    println!(
+                        "{:<6} {:>7.1} {:<7} {:>9.1} {:>9.2} {:>9.2} {:>7} {:>6.1}",
+                        bench.name(),
+                        pct,
+                        sched.label(),
+                        out.run_secs,
+                        slowdown,
+                        spin,
+                        out.vcrd_raises,
+                        out.vcrd_high_frac * 100.0
+                    );
+                }
+            }
+        }
+    }
+}
+
 fn main() {
     let args = parse_args();
     let p = &args.params;
@@ -1151,11 +1178,11 @@ fn main() {
         p.class,
         p.seed,
         p.rounds,
-        args.which
+        args.targets
     );
-    for fig in args.which.clone() {
+    for &target in &args.targets {
         let t0 = std::time::Instant::now();
-        match fig.as_str() {
+        match target {
             "fig1" => {
                 let f = fig01::run(p);
                 emit(&args, "fig01", f.render(), f.shape_checks(), &f);
@@ -1188,20 +1215,58 @@ fn main() {
                 let f = fig12::run(p);
                 emit(&args, "fig12", f.render(), f.shape_checks(), &f);
             }
-            "perf" => run_perf(&args),
+            "extensions" => {
+                let f = asman_report::extensions::run(p);
+                emit(&args, "extensions", f.render(), f.shape_checks(), &f);
+            }
+            "timeline" => run_timeline(p),
+            "sweep" => run_sweep(&args),
             "trace" => run_trace(&args),
+            "perf" => run_perf(&args),
             "audit" => run_audit(&args),
             "cluster" => run_cluster(&args),
             "series" => run_series(&args),
             "soak" => run_soak(&args),
             "bisect" => run_bisect(&args),
-            "timeline" => run_timeline(p),
-            "extensions" => {
-                let f = asman_report::extensions::run(p);
-                emit(&args, "extensions", f.render(), f.shape_checks(), &f);
-            }
             other => unreachable!("target `{other}` validated in parse_args"),
         }
-        progress!("[{fig} took {:.1?}]", t0.elapsed());
+        progress!("[{target} took {:.1?}]", t0.elapsed());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn target_sets_are_named_for_their_targets() {
+        assert_eq!(names(FIGS), TARGETS[..8]);
+        for (set, name) in [
+            (FIG10, "fig10"),
+            (FIG11, "fig11"),
+            (FIG12, "fig12"),
+            (EXTENSIONS, "extensions"),
+            (TIMELINE, "timeline"),
+            (SWEEP, "sweep"),
+            (TRACE, "trace"),
+            (PERF, "perf"),
+            (AUDIT, "audit"),
+            (CLUSTER, "cluster"),
+            (SERIES, "series"),
+            (SOAK, "soak"),
+            (BISECT, "bisect"),
+        ] {
+            assert_eq!(names(set), [name]);
+        }
+    }
+
+    #[test]
+    fn every_flag_is_unique_read_and_documented() {
+        let usage = usage();
+        for f in FLAGS {
+            assert_eq!(FLAGS.iter().filter(|g| g.long() == f.long()).count(), 1, "{}", f.name);
+            assert_ne!(f.targets, 0, "{} is read by no target", f.name);
+            assert!(usage.contains(f.name), "usage documents {}", f.name);
+        }
     }
 }

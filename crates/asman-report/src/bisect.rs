@@ -1,27 +1,24 @@
 //! Divergence bisection (`repro bisect`).
 //!
-//! Given two run configurations A and B whose final digests disagree —
-//! different seed, policy, fault/churn plan, or an injected behavioral
-//! mutation via the audit hooks — the bisector binary-searches over
-//! epoch boundaries for the *first* epoch whose post-boundary
-//! [`Cluster::state_digest`] differs, then re-runs the two sides with
-//! the flight recorder armed and reports the first divergent flight
+//! Given two run configurations A and B that may disagree — different
+//! seed, policy, fault/churn plan, or an injected behavioral mutation
+//! via the audit hooks — the bisector steps both clusters together and
+//! compares their [`Cluster::state_digest`]s at every epoch boundary,
+//! stopping at the *first* boundary where they differ. The field diff
+//! comes from the two live states there. Both sides are then replayed
+//! untraced up to the start of the divergent epoch, and only that one
+//! epoch is flight-recorded, to report the first divergent flight
 //! event in context.
 //!
-//! The search exploits the simulator's determinism twice over: a probe
-//! at epoch `m` is a fresh replay of each side from epoch 0 (no state
-//! is kept between probes, so probes cannot contaminate each other),
-//! and because divergence is causal — once the states differ, the
-//! schedules they produce differ — prefix agreement is monotone and
-//! binary search is sound. The mutation self-tests cross-check the
-//! search against a linear scan to keep that argument honest.
+//! Divergence at boundary `d` costs `2·d` epochs to find and `2·d` more
+//! to replay, and recording a single epoch keeps the capture well inside
+//! its per-category ring however late the divergence comes.
 
 use asman_cluster::{checkpoint::diff_states, CheckpointConfig, Cluster};
 use asman_sim::{merge_streams, CatMask, FlightEvent};
 
-/// Flight-ring capacity per host/category for the divergence capture.
-/// Bisect windows are short (one binary search narrows to a single
-/// epoch), so a modest ring never truncates the interesting tail.
+/// Flight-ring capacity per host/category for the divergence capture,
+/// which records a single epoch.
 const BISECT_TRACE_CAPACITY: usize = 50_000;
 
 /// Flight events printed around the first divergent one.
@@ -79,7 +76,7 @@ pub struct BisectParams {
     /// Side B's full run configuration (often A with one knob turned).
     pub b: CheckpointConfig,
     /// Worker threads for cluster epochs (results are identical for
-    /// every value; this only affects probe wall time).
+    /// every value; this only affects wall time).
     pub jobs: usize,
     /// Behavioral mutation injected into side B's engines.
     pub mutate: Option<Mutation>,
@@ -90,20 +87,22 @@ pub struct BisectParams {
 pub struct BisectOutcome {
     /// Horizon compared (the smaller of the two configs').
     pub epochs: u64,
-    /// Side A's state digest at the horizon.
+    /// Side A's state digest where stepping stopped: the first
+    /// divergent boundary, or the horizon.
     pub digest_a: u64,
-    /// Side B's state digest at the horizon.
+    /// Side B's state digest at the same boundary.
     pub digest_b: u64,
     /// First epoch whose post-boundary digests differ; `None` when the
     /// runs are identical end to end.
     pub first_divergent_epoch: Option<u64>,
-    /// Digest probes spent (each probe replays both sides).
-    pub probes: u64,
+    /// Cluster epochs run across both sides, replays included.
+    pub epochs_stepped: u64,
     /// Field-level state mismatches at the divergent boundary.
     pub mismatches: Vec<String>,
     /// The first divergent flight event, rendered as `A: ... / B: ...`.
     pub first_event: Option<(String, String)>,
-    /// Index of the first divergent event in the merged streams.
+    /// Index of the first divergent event in the divergent epoch's
+    /// merged streams.
     pub first_event_index: Option<usize>,
     /// Side A's merged stream around the divergence, rendered.
     pub context: Vec<String>,
@@ -121,8 +120,12 @@ impl BisectOutcome {
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "bisect: {} epochs, digest A {:016x} vs B {:016x} ({} probes)",
-            self.epochs, self.digest_a, self.digest_b, self.probes
+            "bisect: {} epochs, digest A {:016x} vs B {:016x} at epoch {} ({} epochs stepped)",
+            self.epochs,
+            self.digest_a,
+            self.digest_b,
+            self.first_divergent_epoch.unwrap_or(self.epochs),
+            self.epochs_stepped
         );
         match self.first_divergent_epoch {
             None => {
@@ -174,25 +177,20 @@ fn inject_boost_skip(_c: &mut Cluster) {
     unreachable!("boost-skip requires a build with --features audit")
 }
 
-fn digest_at(cfg: &CheckpointConfig, jobs: usize, mutate: Option<Mutation>, epoch: u64) -> u64 {
-    let mut c = build(cfg, jobs, mutate);
-    for _ in 0..epoch {
-        c.run_epoch();
-    }
-    c.state_digest()
-}
-
-fn flight_to(
+/// The flight events of epoch `epoch` alone (the one ending at that
+/// boundary): replay to its start untraced, then record one epoch.
+fn flight_of_epoch(
     cfg: &CheckpointConfig,
     jobs: usize,
     mutate: Option<Mutation>,
     epoch: u64,
 ) -> Vec<FlightEvent> {
     let mut c = build(cfg, jobs, mutate);
-    c.enable_flight(CatMask::ALL, BISECT_TRACE_CAPACITY);
-    for _ in 0..epoch {
+    for _ in 1..epoch {
         c.run_epoch();
     }
+    c.enable_flight(CatMask::ALL, BISECT_TRACE_CAPACITY);
+    c.run_epoch();
     merge_streams(c.drain_flight().into_iter().map(|(_, evs)| evs).collect())
 }
 
@@ -204,56 +202,43 @@ fn render_event(e: &FlightEvent) -> String {
 /// with `p.mutate` (if any) injected.
 pub fn run(p: &BisectParams) -> BisectOutcome {
     let epochs = p.a.epochs.min(p.b.epochs);
-    let mut probes = 0u64;
-    let mut diverged = |e: u64| -> (bool, u64, u64) {
-        probes += 1;
-        let da = digest_at(&p.a, p.jobs, None, e);
-        let db = digest_at(&p.b, p.jobs, p.mutate, e);
-        (da != db, da, db)
-    };
-    let (diverged_end, digest_a, digest_b) = diverged(epochs);
-    if !diverged_end {
+    let mut a = build(&p.a, p.jobs, None);
+    let mut b = build(&p.b, p.jobs, p.mutate);
+    let mut at = 0;
+    while at < epochs && a.state_digest() == b.state_digest() {
+        a.run_epoch();
+        b.run_epoch();
+        at += 1;
+    }
+    let (digest_a, digest_b) = (a.state_digest(), b.state_digest());
+    let mut epochs_stepped = 2 * at;
+    if digest_a == digest_b {
         return BisectOutcome {
             epochs,
             digest_a,
             digest_b,
             first_divergent_epoch: None,
-            probes,
+            epochs_stepped,
             mismatches: Vec::new(),
             first_event: None,
             first_event_index: None,
             context: Vec::new(),
         };
     }
-    // Binary search the smallest epoch whose digests differ. `lo` is
-    // always an agreeing boundary, `hi` a diverged one; epoch 0 (the
-    // freshly built clusters) handles scenario-shape differences.
-    let first = if diverged(0).0 {
-        0
+    let first = at;
+    let mismatches = diff_states(&a.checkpoint_state(), &b.checkpoint_state());
+    // Free the live clusters before the replays build two more.
+    drop((a, b));
+    // Built clusters that already differ have no epoch to record.
+    let (fa, fb) = if first == 0 {
+        (Vec::new(), Vec::new())
     } else {
-        let (mut lo, mut hi) = (0u64, epochs);
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if diverged(mid).0 {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        hi
+        epochs_stepped += 2 * first;
+        (
+            flight_of_epoch(&p.a, p.jobs, None, first),
+            flight_of_epoch(&p.b, p.jobs, p.mutate, first),
+        )
     };
-    // Field-level mismatches at the divergent boundary.
-    let state_of = |cfg: &CheckpointConfig, mutate| {
-        let mut c = build(cfg, p.jobs, mutate);
-        for _ in 0..first {
-            c.run_epoch();
-        }
-        c.checkpoint_state()
-    };
-    let mismatches = diff_states(&state_of(&p.a, None), &state_of(&p.b, p.mutate));
-    // First divergent flight event across the narrowed window.
-    let fa = flight_to(&p.a, p.jobs, None, first);
-    let fb = flight_to(&p.b, p.jobs, p.mutate, first);
     let ra: Vec<String> = fa.iter().map(render_event).collect();
     let rb: Vec<String> = fb.iter().map(render_event).collect();
     let first_idx = ra
@@ -283,7 +268,7 @@ pub fn run(p: &BisectParams) -> BisectOutcome {
         digest_a,
         digest_b,
         first_divergent_epoch: Some(first),
-        probes,
+        epochs_stepped,
         mismatches,
         first_event,
         first_event_index: first_idx,
@@ -320,7 +305,7 @@ mod tests {
     }
 
     /// The negative twin: identical configs must report no divergence
-    /// in exactly one probe pair.
+    /// after stepping both sides to the horizon once.
     #[test]
     fn identical_configs_bisect_to_nothing() {
         let a = config(42, Policy::VcrdAware, 6);
@@ -332,27 +317,23 @@ mod tests {
         });
         assert!(out.identical());
         assert_eq!(out.digest_a, out.digest_b);
-        assert_eq!(out.probes, 1, "identical runs need exactly one probe");
+        assert_eq!(out.epochs_stepped, 12, "each side steps to the horizon once");
         assert!(out.mismatches.is_empty());
     }
 
-    /// Different policies diverge; the reported epoch must equal the
-    /// linear scan's answer and carry field-level mismatches.
+    /// Different policies diverge, with field-level mismatches and a
+    /// first divergent event from the one recorded epoch.
     #[test]
-    fn policy_difference_bisects_to_linear_scan_answer() {
-        let a = config(42, Policy::Static, 6);
-        let b = config(42, Policy::VcrdAware, 6);
+    fn policy_difference_names_fields_and_event() {
         let out = run(&BisectParams {
-            a: a.clone(),
-            b: b.clone(),
+            a: config(42, Policy::Static, 6),
+            b: config(42, Policy::VcrdAware, 6),
             jobs: 1,
             mutate: None,
         });
         let first = out.first_divergent_epoch.expect("policies diverge");
-        let linear = (0..=6)
-            .find(|&e| digest_at(&a, 1, None, e) != digest_at(&b, 1, None, e))
-            .expect("linear scan finds divergence");
-        assert_eq!(first, linear, "binary search must agree with linear scan");
+        assert!(first > 0, "the built clusters are identical");
+        assert_eq!(out.epochs_stepped, 4 * first, "2·d to find, 2·d to replay");
         assert!(!out.mismatches.is_empty(), "divergence names state fields");
         assert!(out.first_event.is_some(), "schedules differ -> flight events differ");
     }
@@ -368,11 +349,11 @@ mod tests {
             mutate: None,
         });
         assert_eq!(out.first_divergent_epoch, Some(0));
+        assert_eq!(out.epochs_stepped, 0);
     }
 
     /// The canned dirty-undercount mutation must land on the exact
-    /// first epoch a migration executes (identical configs otherwise),
-    /// cross-checked against a linear scan over every boundary.
+    /// first epoch a migration executes (identical configs otherwise).
     #[test]
     fn dirty_undercount_mutation_bisects_to_first_migration_epoch() {
         let a = config(42, Policy::VcrdAware, 8);
@@ -383,12 +364,6 @@ mod tests {
             mutate: Some(Mutation::DirtyUndercount),
         });
         let first = out.first_divergent_epoch.expect("mutation diverges");
-        let linear = (0..=8)
-            .find(|&e| {
-                digest_at(&a, 1, None, e) != digest_at(&a, 1, Some(Mutation::DirtyUndercount), e)
-            })
-            .expect("linear scan finds divergence");
-        assert_eq!(first, linear, "binary search must agree with linear scan");
         // The mutation only changes migration cost, so the first
         // divergent epoch is the first one that records a migration.
         let mut c = a.build_cluster(1);
@@ -412,19 +387,15 @@ mod tests {
     /// hook; available only in audit builds.
     #[cfg(feature = "audit")]
     #[test]
-    fn boost_skip_mutation_bisects_and_matches_linear_scan() {
+    fn boost_skip_mutation_diverges_once_epochs_run() {
         let a = config(42, Policy::VcrdAware, 6);
         let out = run(&BisectParams {
             a: a.clone(),
-            b: a.clone(),
+            b: a,
             jobs: 1,
             mutate: Some(Mutation::BoostSkip),
         });
         let first = out.first_divergent_epoch.expect("mutation diverges");
-        let linear = (0..=6)
-            .find(|&e| digest_at(&a, 1, None, e) != digest_at(&a, 1, Some(Mutation::BoostSkip), e))
-            .expect("linear scan finds divergence");
-        assert_eq!(first, linear);
         assert!(first > 0, "skipping BOOST only shows once epochs run");
     }
 }

@@ -18,11 +18,10 @@ use asman_cluster::{
     scenario::{self, ConsolidationSpec},
     ClusterConfig, ClusterReport, Policy,
 };
-use asman_sim::{CatMask, FaultPlan, FlightEvent, MetricsRegistry, StreamBudget};
+use asman_sim::{CatMask, FaultPlan, FlightEvent, MetricsRegistry, StreamBudget, SweepRunner};
 use serde::Serialize;
 use std::fmt::Write as _;
 
-use crate::exec::SweepRunner;
 use crate::figures::ShapeCheck;
 
 /// Parameters of the cluster experiment.

@@ -25,7 +25,6 @@ pub mod checkpoint;
 pub mod cluster;
 pub mod clusterbench;
 pub mod csv;
-pub mod exec;
 pub mod extensions;
 pub mod figures;
 pub mod flightrec;
@@ -38,7 +37,6 @@ pub mod soak;
 pub mod timeline;
 pub mod window;
 
-pub use exec::SweepRunner;
 pub use jbb::{JbbPoint, JbbScenario};
 pub use multivm::{paper_combination, MultiVmRow, MultiVmScenario, VmWorkload};
 pub use scenario::{

@@ -168,7 +168,7 @@ impl MultiVmScenario {
 pub fn run_under_schedulers(
     base: &MultiVmScenario,
     scheds: &[Sched],
-    runner: &crate::exec::SweepRunner,
+    runner: &asman_sim::SweepRunner,
 ) -> Vec<Vec<MultiVmRow>> {
     runner.map(scheds.to_vec(), |sched| {
         MultiVmScenario {

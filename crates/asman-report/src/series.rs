@@ -18,12 +18,11 @@
 //! (`repro cluster --bench`), where bit-identity is not promised.
 
 use asman_cluster::{scenario, Policy};
-use asman_sim::{detect_anomalies, sparkline, Anomaly, EpochSample};
+use asman_sim::{detect_anomalies, sparkline, Anomaly, EpochSample, SweepRunner};
 use serde::Serialize;
 use std::fmt::Write as _;
 
 use crate::cluster::ClusterParams;
-use crate::exec::SweepRunner;
 
 /// Default trailing-window length (epochs) for the anomaly pass.
 pub const DEFAULT_WINDOW: usize = 4;

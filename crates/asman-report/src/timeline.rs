@@ -1,13 +1,17 @@
 //! Schedule-timeline reconstruction and rendering.
 //!
-//! Turns a machine's schedule trace into per-VCPU online intervals and an
-//! ASCII Gantt chart — the tool that made the duty-cycle geometry of the
-//! calibration visible (aligned vs staggered windows, park/unpark
-//! quantization, gang formation under coscheduling).
+//! Turns the VCPU transitions a machine's flight recorder captured into
+//! per-VCPU online intervals and an ASCII Gantt chart — the tool that
+//! made the duty-cycle geometry of the calibration visible (aligned vs
+//! staggered windows, park/unpark quantization, gang formation under
+//! coscheduling).
 
-use asman_hypervisor::{Machine, SchedEventKind};
-use asman_sim::Cycles;
+use asman_hypervisor::Machine;
+use asman_sim::{merge_streams, CatMask, Clock, Cycles, FlightEv, FlightEvent, TraceCat};
+use asman_workloads::{NasBenchmark, NasSpec, ProblemClass};
 use serde::Serialize;
+
+use crate::scenario::{Sched, SingleVmScenario};
 
 /// A contiguous online interval of one VCPU.
 #[derive(Clone, Copy, Debug, Serialize)]
@@ -20,11 +24,11 @@ pub struct OnlineSpan {
     pub pcpu: usize,
     /// Dispatch time.
     pub start: Cycles,
-    /// Preempt/block time.
+    /// Preempt, block or park time.
     pub end: Cycles,
 }
 
-/// Per-VCPU online spans reconstructed from the schedule trace.
+/// Per-VCPU online spans reconstructed from flight-recorded transitions.
 #[derive(Clone, Debug, Default, Serialize)]
 pub struct Timeline {
     /// All completed spans, in start order.
@@ -34,39 +38,59 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// Reconstruct from a machine whose schedule trace was enabled with
-    /// [`Machine::enable_schedule_trace`].
+    /// Arm `m`'s flight recorder with the categories the reconstruction
+    /// reads, keeping up to `capacity` events per category: `sched` for
+    /// dispatch, preempt, block and wake, `credit` for cap-enforcement
+    /// parks.
+    pub fn arm(m: &mut Machine, capacity: usize) {
+        m.enable_flight(CatMask::only(TraceCat::Sched).with(TraceCat::Credit), capacity);
+    }
+
+    /// Reconstruct from a machine armed with [`Timeline::arm`].
     pub fn from_machine(m: &Machine) -> Timeline {
         let mut open: Vec<Option<(Cycles, usize, usize)>> = Vec::new();
         let mut spans = Vec::new();
-        let mut max_vcpu = 0;
-        for &(t, ev) in m.schedule_trace().samples() {
-            max_vcpu = max_vcpu.max(ev.vcpu);
-            if open.len() <= ev.vcpu {
-                open.resize(ev.vcpu + 1, None);
-            }
-            match ev.kind {
-                SchedEventKind::Dispatch => {
-                    open[ev.vcpu] = Some((t, ev.pcpu, ev.vm));
+        for e in transitions(m) {
+            match e.ev {
+                FlightEv::Dispatch { vcpu, vm, pcpu } => {
+                    *slot(&mut open, vcpu) = Some((e.t, pcpu as usize, vm as usize));
                 }
-                SchedEventKind::Preempt | SchedEventKind::Block | SchedEventKind::Park => {
-                    if let Some((start, pcpu, vm)) = open[ev.vcpu].take() {
+                FlightEv::Preempt { vcpu, .. }
+                | FlightEv::Block { vcpu, .. }
+                | FlightEv::Park { vcpu, .. } => {
+                    if let Some((start, pcpu, vm)) = slot(&mut open, vcpu).take() {
                         spans.push(OnlineSpan {
-                            vcpu: ev.vcpu,
+                            vcpu: vcpu as usize,
                             vm,
                             pcpu,
                             start,
-                            end: t,
+                            end: e.t,
                         });
                     }
+                }
+                FlightEv::Wake { vcpu, .. } | FlightEv::Unpark { vcpu, .. } => {
+                    slot(&mut open, vcpu);
                 }
                 _ => {}
             }
         }
+        // Spans that end at one instant close in category order, not
+        // record order; start order is canonical either way.
+        spans.sort_by_key(|s| (s.start, s.vcpu, s.end, s.pcpu));
         Timeline {
             spans,
-            vcpus: max_vcpu + 1,
+            vcpus: open.len(),
         }
+    }
+
+    /// The `repro timeline` testbed: LU at the 22.2% online rate under
+    /// `sched`, traced for its first three simulated seconds.
+    pub fn lu_testbed(sched: Sched, class: ProblemClass, seed: u64) -> Timeline {
+        let lu = NasSpec::new(NasBenchmark::LU, class, 4).build(seed ^ 7);
+        let mut m = SingleVmScenario::new(sched, 32, seed).build(Box::new(lu));
+        Timeline::arm(&mut m, 500_000);
+        m.run_until(Clock::default().secs(3));
+        Timeline::from_machine(&m)
     }
 
     /// Total online time of `vcpu` within `[from, to]`.
@@ -82,20 +106,17 @@ impl Timeline {
             .sum()
     }
 
-    /// Wake-to-dispatch latencies per VCPU, reconstructed from the
-    /// schedule trace (the metric behind Xen's BOOST mechanism).
+    /// Wake-to-dispatch latencies per VCPU of a machine armed with
+    /// [`Timeline::arm`] (the metric behind Xen's BOOST mechanism).
     pub fn wake_latencies(m: &Machine) -> Vec<(usize, Cycles)> {
-        let mut pending: Vec<Option<Cycles>> = Vec::new();
+        let mut pending = Vec::new();
         let mut out = Vec::new();
-        for &(t, ev) in m.schedule_trace().samples() {
-            if pending.len() <= ev.vcpu {
-                pending.resize(ev.vcpu + 1, None);
-            }
-            match ev.kind {
-                SchedEventKind::Wake => pending[ev.vcpu] = Some(t),
-                SchedEventKind::Dispatch => {
-                    if let Some(w) = pending[ev.vcpu].take() {
-                        out.push((ev.vcpu, t.saturating_sub(w)));
+        for e in m.flight().events(TraceCat::Sched) {
+            match e.ev {
+                FlightEv::Wake { vcpu, .. } => *slot(&mut pending, vcpu) = Some(e.t),
+                FlightEv::Dispatch { vcpu, .. } => {
+                    if let Some(w) = slot(&mut pending, vcpu).take() {
+                        out.push((vcpu as usize, e.t.saturating_sub(w)));
                     }
                 }
                 _ => {}
@@ -131,18 +152,34 @@ impl Timeline {
     }
 }
 
+/// The machine's VCPU transitions in time order: its `sched` events
+/// merged with its `credit` events, which carry the parks.
+fn transitions(m: &Machine) -> Vec<FlightEvent> {
+    let f = m.flight();
+    merge_streams(vec![
+        f.events(TraceCat::Sched).to_vec(),
+        f.events(TraceCat::Credit).to_vec(),
+    ])
+}
+
+/// `v[i]`, growing `v` with `None`s to reach it.
+fn slot<T>(v: &mut Vec<Option<T>>, i: u32) -> &mut Option<T> {
+    let i = i as usize;
+    if v.len() <= i {
+        v.resize_with(i + 1, || None);
+    }
+    &mut v[i]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{Sched, SingleVmScenario};
-    use asman_sim::Clock;
-    use asman_workloads::{NasBenchmark, NasSpec, ProblemClass};
 
     fn traced_machine(sched: Sched) -> Machine {
         let sc = SingleVmScenario::new(sched, 32, 42);
         let lu = NasSpec::new(NasBenchmark::LU, ProblemClass::S, 4).build(7);
         let mut m = sc.build(Box::new(lu));
-        m.enable_schedule_trace(200_000);
+        Timeline::arm(&mut m, 200_000);
         m.run_until(Clock::default().secs(2));
         m
     }

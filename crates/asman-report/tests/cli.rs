@@ -262,7 +262,6 @@ fn resume_conflicts_with_scenario_flags() {
         ("--hosts", "4"),
         ("--vms", "3"),
         ("--churn", "rand:1:2"),
-        ("--faults", "abort@1"),
         ("--max-moves", "2"),
     ] {
         assert_usage_error(
@@ -421,4 +420,69 @@ fn bad_fault_plans_exit_two() {
         &["cluster", "--hosts", "3", "--faults", "crash@2:h7"],
         "host 7",
     );
+}
+
+/// A flag that none of the requested targets reads is an error, not a
+/// silent no-op: each of these used to run exactly as if the flag were
+/// absent. The message names the flag and the target.
+#[test]
+fn flags_no_requested_target_reads_exit_two() {
+    for (args, flag, target) in [
+        (&["soak", "--epochs", "30", "--faults", "crash@5:h1"][..], "--faults", "soak"),
+        (&["soak", "--epochs", "30", "--policy", "static"], "--policy", "soak"),
+        (
+            &["cluster", "--epochs", "4", "--churn", "arrive@1:gang4,depart@2:h0:v0"],
+            "--churn",
+            "cluster",
+        ),
+        (&["series", "--epochs", "4", "--churn", "arrive@1:gang4"], "--churn", "series"),
+        (&["fig1", "--class", "s", "--rounds", "1", "--hosts", "9"], "--hosts", "fig1"),
+        (&["audit", "--rounds", "3"], "--rounds", "audit"),
+        // A resumed soak never read --faults either; the scenario check
+        // is not even reached.
+        (&["soak", "--resume", "/nonexistent/CKPT.json", "--faults", "abort@1"], "--faults", "soak"),
+    ] {
+        assert_usage_error(args, &format!("{flag} is not read by {target}"));
+    }
+}
+
+/// A flag is accepted when any requested target reads it.
+#[test]
+fn flag_read_by_any_requested_target_is_accepted() {
+    let out = repro(&["cluster", "series", "--hosts", "3", "--epochs", "1", "--policy", "static", "-q"]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+}
+
+#[test]
+fn bad_sweep_flags_exit_two() {
+    assert_usage_error(&["sweep", "--class", "q"], "unknown class `q`");
+    assert_usage_error(&["sweep", "--nas", "BOGUS"], "unknown benchmark `BOGUS`");
+    assert_usage_error(&["sweep", "--rates", "50,abc"], "`abc` is not a number");
+    assert_usage_error(&["sweep", "--rates", "0"], "(0, 100]");
+    assert_usage_error(&["sweep", "--scheds", "credit,fifo"], "unknown scheduler `fifo`");
+}
+
+#[test]
+fn usage_names_every_flag_and_every_trace_category() {
+    let out = repro(&["--help"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for flag in [
+        "-h", "--help", "-q", "--quiet", "--class", "--seed", "--rounds", "--jobs", "--json",
+        "--trace", "--trace-cats", "--cells", "--hosts", "--vms", "--epochs", "--policy",
+        "--faults", "--churn", "--max-moves", "--audit-every", "--checkpoint-every", "--resume",
+        "--b-policy", "--b-seed", "--b-faults", "--b-churn", "--b-mutate", "--bench",
+        "--bench-hosts", "--bench-jobs", "--window", "--nsigma", "--nas", "--rates", "--scheds",
+        "--csv",
+    ] {
+        let documented = stdout
+            .split(|c: char| c.is_whitespace() || c == ',')
+            .any(|word| word == flag);
+        assert!(documented, "usage documents {flag}");
+    }
+    assert!(stdout.contains("sweep"), "usage lists the sweep target");
+    let cats = stdout.split("  --trace-cats").nth(1).expect("--trace-cats documented");
+    let cats = cats.split("\n  -").next().unwrap();
+    for cat in asman_sim::TraceCat::ALL {
+        assert!(cats.contains(cat.name()), "--trace-cats help lists `{}`:\n{cats}", cat.name());
+    }
 }

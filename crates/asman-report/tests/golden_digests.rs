@@ -23,6 +23,7 @@ use asman_report::soak::{self, SoakParams};
 use asman_report::figures::{
     fig01, fig02, fig07, fig08, fig09, fig10, fig11, fig12, FigureParams,
 };
+use asman_report::{Sched, Timeline};
 use asman_workloads::ProblemClass;
 use serde::Serialize;
 
@@ -52,7 +53,7 @@ fn digest<T: Serialize>(artifact: &T) -> String {
 }
 
 /// Every figure target and its pinned class-S digest.
-const GOLDEN: [(&str, &str); 10] = [
+const GOLDEN: [(&str, &str); 12] = [
     ("fig1", "82af5c9243647087"),
     ("fig2", "73707e33e0ece968"),
     ("fig7", "e78fc80a04d78280"),
@@ -63,6 +64,8 @@ const GOLDEN: [(&str, &str); 10] = [
     ("fig12", "399e7ab0f4dc7f8f"),
     ("cluster", "4ae12ea99738a6a4"),
     ("soak", "bab5c163a43c7001"),
+    ("timeline-credit", "dc7d40a4ddc94306"),
+    ("timeline-asman", "26cd1bf688fda2de"),
 ];
 
 fn actual_digests() -> Vec<(&'static str, String)> {
@@ -94,6 +97,16 @@ fn actual_digests() -> Vec<(&'static str, String)> {
                 crosscheck_epochs: 200,
                 ..SoakParams::default()
             })),
+        ),
+        // The `repro timeline` panels: per-VCPU online spans rebuilt
+        // from the scheduler's dispatch/preempt/block/park transitions.
+        (
+            "timeline-credit",
+            digest(&Timeline::lu_testbed(Sched::Credit, ProblemClass::S, 42)),
+        ),
+        (
+            "timeline-asman",
+            digest(&Timeline::lu_testbed(Sched::Asman, ProblemClass::S, 42)),
         ),
     ]
 }

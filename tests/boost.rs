@@ -35,7 +35,7 @@ fn io_latency_p95(boost: bool) -> f64 {
             VmSpec::new("io", 2, Box::new(io)).weight(16),
         ],
     );
-    m.enable_schedule_trace(500_000);
+    Timeline::arm(&mut m, 500_000);
     m.run_until(clk.secs(8));
     // Wake latencies of the I/O VM's VCPUs (global ids 4 and 5).
     let mut q = P2Quantile::new(0.95);
