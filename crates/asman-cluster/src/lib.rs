@@ -166,7 +166,7 @@ struct PendingRetry {
 /// Wall-time attribution of one epoch of the parallel driver, captured
 /// only when [`Cluster::enable_profiling`] was called. Wall-clock is
 /// inherently non-deterministic, so this never feeds a digest-bearing
-/// artifact — only `BENCH_cluster.json` and bench stdout.
+/// artifact — only the `benchmark/` package's per-layer ledger reads it.
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct EpochProfile {
     /// Epoch index.

@@ -151,9 +151,9 @@ pub fn consolidation_cluster(cfg: ClusterConfig, spec: &ConsolidationSpec) -> Cl
 /// carries one 3-VCPU gang VM plus one 2-VCPU background VM on 4
 /// PCPUs. Each gang fits its host, so no policy proposes a migration —
 /// the epoch loop's cost is pure host advancement plus the balancer
-/// scan, which is exactly what the hosts × jobs bench grid wants to
-/// measure. Per-host seeds keep hosts decorrelated and every run
-/// bit-reproducible.
+/// scan, which is what the `benchmark/` package's `cluster-epochs`
+/// workload measures. Per-host seeds keep hosts decorrelated and every
+/// run bit-reproducible.
 pub fn uniform(hosts: usize, seed: u64) -> Vec<Machine> {
     assert!(hosts >= 1, "need at least one host");
     (0..hosts)
@@ -186,7 +186,7 @@ pub fn uniform(hosts: usize, seed: u64) -> Vec<Machine> {
         .collect()
 }
 
-/// A hotspot cluster for convergence benchmarks: the first
+/// A hotspot cluster for the multi-move convergence pins: the first
 /// `max(1, hosts/4)` hosts each carry **two** lock-heavy 3-VCPU gang
 /// VMs on 4 PCPUs (demand 6 > 4, so every hot host spins on
 /// lock-holder preemption until it sheds a gang), while the remaining

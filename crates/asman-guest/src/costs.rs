@@ -4,8 +4,8 @@
 //! (the paper's Xeon X5410): an uncontended spinlock acquisition costs on
 //! the order of 10² cycles, a futex enqueue/wake around 10³, and libgomp's
 //! default barrier spin budget is on the order of 10⁵ cycles before a
-//! thread gives up and blocks. Every value is configurable so ablation
-//! benches can probe sensitivity.
+//! thread gives up and blocks. Every value is configurable so ablations
+//! can probe sensitivity.
 
 use asman_sim::{Clock, Cycles};
 use serde::{Deserialize, Serialize};

@@ -36,7 +36,7 @@ pub enum CoschedPolicy {
     /// gang starts; instead the VMM tracks per-VCPU skew (time spent
     /// descheduled while siblings run) and boosts only VCPUs whose skew
     /// exceeds a bound. Implemented for the related-work comparison of
-    /// §6 and the ablation benches.
+    /// §6 (`repro extensions`).
     Relaxed,
     /// The paper's stated future work (§7): infer the VCRD *outside* the
     /// VM, with no guest modification, from hardware spin detection

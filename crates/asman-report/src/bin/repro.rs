@@ -22,17 +22,16 @@
 //!   Chrome trace JSON, LHP episode summaries and a metrics dump into
 //!   the `--trace` directory. `--trace DIR` alongside other targets
 //!   appends this target.
-//! * `perf` — benchmarks the engine itself (events/sec with the flight
-//!   recorder disabled, gated and fully capturing) and writes
-//!   `BENCH_engine.json`.
+//! * `ablations` — the design-parameter sweeps (δ, Roth–Erev learning,
+//!   IPI cost, cache warm-up, credit interval K, LLC-aware placement) on
+//!   the LU @ 22.2% testbed.
 //! * `audit` — the differential oracle harness: `--cells` randomized
 //!   scenario cells run on both the optimized engine and the naive
 //!   oracle, comparing digests and full flight-event streams; exits 1
 //!   on any divergence. Build with `--features audit` to also run the
 //!   in-engine invariant auditor.
 //! * `cluster` — multi-host consolidation with live migration,
-//!   comparing placement policies; `--bench` runs the hosts × jobs
-//!   scaling grid instead and writes `BENCH_cluster.json`.
+//!   comparing placement policies.
 //! * `series` — the consolidation cluster with the telemetry layer
 //!   armed: epoch × metric sparklines, the trailing-window Nσ anomaly
 //!   pass, scheduler-latency quantiles and the reaction-latency summary.
@@ -66,7 +65,7 @@ use asman_workloads::{NasBenchmark, ProblemClass};
 /// `TARGETS[i]`.
 const TARGETS: [&str; 18] = [
     "fig1", "fig2", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "extensions",
-    "timeline", "sweep", "trace", "perf", "audit", "cluster", "series", "soak", "bisect",
+    "timeline", "sweep", "trace", "ablations", "audit", "cluster", "series", "soak", "bisect",
 ];
 
 type Targets = u32;
@@ -79,7 +78,7 @@ const EXTENSIONS: Targets = 1 << 8;
 const TIMELINE: Targets = 1 << 9;
 const SWEEP: Targets = 1 << 10;
 const TRACE: Targets = 1 << 11;
-const PERF: Targets = 1 << 12;
+const ABLATIONS: Targets = 1 << 12;
 const AUDIT: Targets = 1 << 13;
 const CLUSTER: Targets = 1 << 14;
 const SERIES: Targets = 1 << 15;
@@ -119,7 +118,7 @@ const FLAGS: &[Flag] = &[
         help: "suppress progress lines and buffer-overflow warnings on stderr",
         set: |_, _| { logger::set_quiet(true); Ok(()) } },
     Flag { name: "--class", value: "s|w|a",
-        targets: (FIGS & !FIG10) | EXTENSIONS | TIMELINE | SWEEP | TRACE | PERF,
+        targets: (FIGS & !FIG10) | EXTENSIONS | TIMELINE | SWEEP | TRACE | ABLATIONS,
         help: "NAS problem class (default w)",
         set: |a, v| class(v).map(|c| a.params.class = c) },
     Flag { name: "--seed", value: "N", targets: EVERY, help: "base RNG seed (default 42)",
@@ -127,14 +126,13 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--rounds", value: "N", targets: FIG11 | FIG12,
         help: "measured rounds of the multi-VM figures (default 10)",
         set: |a, v| at_least(v, 1).map(|n| a.params.rounds = n) },
-    Flag { name: "--jobs", value: "N", targets: EVERY & !(SWEEP | PERF),
+    Flag { name: "--jobs", value: "N", targets: EVERY & !SWEEP,
         help: "worker threads; 0 = one per core (default 0). Results are bit-identical \
                for every value",
         set: |a, v| num(v).map(|n| a.params.jobs = n) },
     Flag { name: "--json", value: "DIR",
-        targets: FIGS | EXTENSIONS | TRACE | PERF | AUDIT | CLUSTER | SERIES | SOAK,
-        help: "also write the JSON artifacts (raw series, reports, BENCH files, \
-               checkpoints) into DIR",
+        targets: FIGS | EXTENSIONS | TRACE | ABLATIONS | AUDIT | CLUSTER | SERIES | SOAK,
+        help: "also write the JSON artifacts (raw series, reports, checkpoints) into DIR",
         set: |a, v| { a.json_dir = Some(v.into()); Ok(()) } },
     Flag { name: "--trace", value: "DIR", targets: TRACE | CLUSTER,
         help: "write the flight-recorder bundle (Chrome trace, LHP episodes, metrics) \
@@ -204,16 +202,6 @@ const FLAGS: &[Flag] = &[
                dirty-page rate) or boost-skip (host 0 skips BOOST; needs a build with \
                --features audit)",
         set: |a, v| mutation(v).map(|m| a.b_mutate = Some(m)) },
-    Flag { name: "--bench", value: "", targets: CLUSTER,
-        help: "run the hosts x jobs performance grid instead of the consolidation \
-               experiment and write BENCH_cluster.json (warmup + median of 3 per cell)",
-        set: |a, _| { a.bench = true; Ok(()) } },
-    Flag { name: "--bench-hosts", value: "LIST", targets: CLUSTER,
-        help: "host counts for --bench, each at least 2 (default 2,4,8)",
-        set: |a, v| list(v, |h| at_least(h, 2)).map(|l| a.bench_hosts = l) },
-    Flag { name: "--bench-jobs", value: "LIST", targets: CLUSTER,
-        help: "worker counts for --bench; 0 = one per core (default 1,2,4,8)",
-        set: |a, v| list(v, num).map(|l| a.bench_jobs = l) },
     Flag { name: "--window", value: "N", targets: SERIES,
         help: "trailing-window length in epochs for the anomaly pass (default 4)",
         set: |a, v| at_least(v, 1).map(|n| a.window = n) },
@@ -264,9 +252,6 @@ struct Args {
     b_faults: Option<FaultSpec>,
     b_churn: Option<ChurnSpec>,
     b_mutate: Option<Mutation>,
-    bench: bool,
-    bench_hosts: Vec<usize>,
-    bench_jobs: Vec<usize>,
     window: usize,
     nsigma: f64,
     nas: Vec<NasBenchmark>,
@@ -300,9 +285,6 @@ impl Default for Args {
             b_faults: None,
             b_churn: None,
             b_mutate: None,
-            bench: false,
-            bench_hosts: vec![2, 4, 8],
-            bench_jobs: vec![1, 2, 4, 8],
             window: series::DEFAULT_WINDOW,
             nsigma: series::DEFAULT_NSIGMA,
             nas: vec![NasBenchmark::LU],
@@ -467,6 +449,21 @@ fn check_hosts(flag: &str, named: Option<usize>, hosts: usize) {
     }
 }
 
+/// Fail unless a fault plan names only existing hosts and leaves one
+/// uncrashed: the last crash would have nowhere to evacuate its VMs to.
+fn check_faults(flag: &str, plan: &FaultPlan, hosts: usize) {
+    check_hosts(flag, plan.max_host(), hosts);
+    let crashed = plan.crashed_hosts();
+    if crashed.len() == hosts {
+        let named: Vec<String> = crashed.iter().map(|h| format!("h{h}")).collect();
+        fail(&format!(
+            "{flag} crashes every host ({}); at least one must stay up to take the \
+             evacuated VMs",
+            named.join(", ")
+        ));
+    }
+}
+
 fn parse_args() -> Args {
     let mut a = Args::default();
     let mut all = false;
@@ -527,10 +524,10 @@ fn parse_args() -> Args {
     if !unread.is_empty() {
         fail(&unread.join("\nrepro: "));
     }
-    check_hosts("--faults", a.fault_plan().max_host(), a.hosts);
+    check_faults("--faults", &a.fault_plan(), a.hosts);
     check_hosts("--churn", a.churn.resolve(1, a.hosts).max_host(), a.hosts);
     if let Some(spec) = &a.b_faults {
-        check_hosts("--b-faults", spec.resolve(a.epochs, a.hosts).max_host(), a.hosts);
+        check_faults("--b-faults", &spec.resolve(a.epochs, a.hosts), a.hosts);
     }
     if let Some(spec) = &a.b_churn {
         check_hosts("--b-churn", spec.resolve(a.epochs, a.hosts).max_host(), a.hosts);
@@ -618,190 +615,6 @@ fn run_timeline(p: &FigureParams) {
     }
 }
 
-/// Benchmark the simulation engine: run the reference LU scenario under
-/// both schedulers single-threaded and report events/sec from
-/// `Machine::perf()`. Writes `BENCH_engine.json` (into the `--json`
-/// directory, or the working directory).
-fn run_perf(args: &Args) {
-    use asman_report::SingleVmScenario;
-    use asman_workloads::{NasBenchmark, NasSpec};
-    use serde::Serialize;
-
-    #[derive(Serialize)]
-    struct PerfRow {
-        sched: &'static str,
-        events: u64,
-        wall_secs: f64,
-        events_per_sec: f64,
-        gated_events_per_sec: f64,
-        gated_overhead_pct: f64,
-        traced_events_per_sec: f64,
-        tracing_overhead_pct: f64,
-    }
-    #[derive(Serialize)]
-    struct Bench {
-        class: String,
-        seed: u64,
-        rows: Vec<PerfRow>,
-        total_events: u64,
-        total_wall_secs: f64,
-        events_per_sec: f64,
-        gated_events_per_sec: f64,
-        traced_events_per_sec: f64,
-    }
-
-    /// Flight-recorder state during a measurement run.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Rec {
-        /// Recorder fully disabled: record sites are a single branch.
-        Off,
-        /// Recorder armed with an empty category mask: record sites
-        /// build their payloads and are rejected per category — the
-        /// worst case of "tracing compiled in but not recording".
-        Gated,
-        /// Full capture of every category.
-        Traced,
-    }
-
-    // Measurement discipline (this used to be a single cold pass per
-    // recorder state, which let `gated_overhead_pct` go negative):
-    //
-    // * **warmup** — one discarded run per recorder state eats one-off
-    //   costs (cold page cache, allocator growth, branch training);
-    // * **interleaving** — each sample measures Off, then Gated, then
-    //   Traced back to back, so slow host-load drift lands on every
-    //   state of a sample equally instead of on whichever state
-    //   happened to run during a busy period;
-    // * **min-of-N** — the simulation is deterministic, so every run of
-    //   a state does identical work and all wall-time variance is host
-    //   interference; the minimum sample is therefore the best estimate
-    //   of the true cost (the standard `timeit` argument).
-    const SAMPLES: usize = 5;
-    const REPS: usize = 2;
-    const TRACED_CAPACITY: usize = 250_000;
-    const STATES: [Rec; 3] = [Rec::Off, Rec::Gated, Rec::Traced];
-    let p = &args.params;
-    let run_once = |sched: Sched, rec: Rec| -> (u64, f64) {
-        let sc = SingleVmScenario::new(sched, 32, p.seed);
-        let lu = NasSpec::new(NasBenchmark::LU, p.class, 4).build(p.seed ^ 7);
-        let mut m = sc.build(Box::new(lu));
-        match rec {
-            Rec::Off => {}
-            Rec::Gated => m.enable_flight(asman_sim::CatMask(0), 0),
-            Rec::Traced => m.enable_flight(asman_sim::CatMask::ALL, TRACED_CAPACITY),
-        }
-        let clk = m.config().clock;
-        m.run_to_completion(clk.secs(sc.horizon_secs));
-        let perf = m.perf();
-        (perf.events, perf.wall.as_secs_f64())
-    };
-    // All three recorder states of one scheduler, measured together:
-    // returns the median (events, wall) per state in STATES order.
-    let measure_states = |sched: Sched| -> [(u64, f64); 3] {
-        for rec in STATES {
-            run_once(sched, rec); // warmup, discarded
-        }
-        let mut samples: [Vec<(u64, f64)>; 3] = Default::default();
-        for _ in 0..SAMPLES {
-            for (k, &rec) in STATES.iter().enumerate() {
-                let (mut events, mut wall) = (0u64, 0.0f64);
-                for _ in 0..REPS {
-                    let (e, w) = run_once(sched, rec);
-                    events += e;
-                    wall += w;
-                }
-                samples[k].push((events, wall));
-            }
-        }
-        samples.map(|mut s| {
-            // Event counts are identical across samples (the simulation
-            // is deterministic), so the min-by-wall sample is the
-            // max-by-rate sample.
-            s.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("wall times are finite"));
-            s[0]
-        })
-    };
-    let rate_of = |events: u64, wall: f64| if wall > 0.0 { events as f64 / wall } else { 0.0 };
-    // Gated and traced runs execute a strict superset of the Off run's
-    // instructions (same deterministic simulation plus gate checks /
-    // ring writes), so their true overhead is >= 0 by construction; a
-    // negative reading is residual interference and is floored at zero.
-    let overhead_vs = |base: f64, rate: f64| {
-        if base > 0.0 {
-            ((base - rate) / base * 100.0).max(0.0)
-        } else {
-            0.0
-        }
-    };
-    println!(
-        "Engine benchmark — LU @ 22.2% online rate, sequential, \
-         warmup + min of {SAMPLES} interleaved samples x {REPS} reps"
-    );
-    println!(
-        "{:>8} {:>12} {:>10} {:>14} {:>13} {:>7} {:>13} {:>7}",
-        "sched", "events", "wall(s)", "events/sec", "gated ev/s", "gate%", "traced ev/s", "trace%"
-    );
-    let mut rows = Vec::new();
-    let (mut total_events, mut total_wall) = (0u64, 0.0f64);
-    let (mut total_gt_events, mut total_gt_wall) = (0u64, 0.0f64);
-    let (mut total_tr_events, mut total_tr_wall) = (0u64, 0.0f64);
-    for sched in [Sched::Credit, Sched::Asman] {
-        let [(events, wall), (gt_events, gt_wall), (tr_events, tr_wall)] = measure_states(sched);
-        let rate = rate_of(events, wall);
-        let gt_rate = rate_of(gt_events, gt_wall);
-        let tr_rate = rate_of(tr_events, tr_wall);
-        println!(
-            "{:>8} {:>12} {:>10.3} {:>14.0} {:>13.0} {:>6.1}% {:>13.0} {:>6.1}%",
-            sched.label(),
-            events,
-            wall,
-            rate,
-            gt_rate,
-            overhead_vs(rate, gt_rate),
-            tr_rate,
-            overhead_vs(rate, tr_rate),
-        );
-        total_events += events;
-        total_wall += wall;
-        total_gt_events += gt_events;
-        total_gt_wall += gt_wall;
-        total_tr_events += tr_events;
-        total_tr_wall += tr_wall;
-        rows.push(PerfRow {
-            sched: sched.label(),
-            events,
-            wall_secs: wall,
-            events_per_sec: rate,
-            gated_events_per_sec: gt_rate,
-            gated_overhead_pct: overhead_vs(rate, gt_rate),
-            traced_events_per_sec: tr_rate,
-            tracing_overhead_pct: overhead_vs(rate, tr_rate),
-        });
-    }
-    let combined = rate_of(total_events, total_wall);
-    let gt_combined = rate_of(total_gt_events, total_gt_wall);
-    let tr_combined = rate_of(total_tr_events, total_tr_wall);
-    println!(
-        "{:>8} {:>12} {:>10.3} {:>14.0} {:>13.0} {:>7} {:>13.0}",
-        "total", total_events, total_wall, combined, gt_combined, "", tr_combined
-    );
-    let bench = Bench {
-        class: format!("{:?}", p.class),
-        seed: p.seed,
-        rows,
-        total_events,
-        total_wall_secs: total_wall,
-        events_per_sec: combined,
-        gated_events_per_sec: gt_combined,
-        traced_events_per_sec: tr_combined,
-    };
-    let dir = args.json_dir.clone().unwrap_or_else(|| PathBuf::from("."));
-    fs::create_dir_all(&dir).expect("create json dir");
-    let path = dir.join("BENCH_engine.json");
-    fs::write(&path, serde_json::to_vec_pretty(&bench).expect("serialize")).expect("write json");
-    progress!("wrote {}", path.display());
-}
-
 /// Differential oracle audit: run the optimized engine and the naive
 /// oracle over a randomized scenario grid and demand bit-identical
 /// behavior, then cross-check that the sweep digests are independent
@@ -856,11 +669,6 @@ fn cluster_policies(args: &Args) -> Vec<Policy> {
 fn run_cluster(args: &Args) {
     use asman_report::cluster;
     use serde::Serialize;
-
-    if args.bench {
-        run_cluster_bench(args);
-        return;
-    }
     let policies = cluster_policies(args);
     let p = cluster::ClusterParams {
         hosts: args.hosts,
@@ -1087,32 +895,6 @@ fn run_bisect(args: &Args) {
     }
 }
 
-/// The cluster performance grid (`repro cluster --bench`): hosts × jobs
-/// cells on the uniform scaling scenario, warmup + median-of-3 each,
-/// written to `BENCH_cluster.json` (into `--json` DIR, or the working
-/// directory). Every cell cross-checks its report digest against the
-/// row's `jobs = 1` baseline, so a nondeterministic "speedup" aborts
-/// the bench instead of producing a lying artifact.
-fn run_cluster_bench(args: &Args) {
-    use asman_report::clusterbench;
-
-    let p = clusterbench::BenchParams {
-        hosts_grid: args.bench_hosts.clone(),
-        jobs_grid: args.bench_jobs.clone(),
-        epochs: args.epochs,
-        seed: args.params.seed,
-        max_moves: args.max_moves,
-        ..clusterbench::BenchParams::default()
-    };
-    let bench = clusterbench::run(&p);
-    println!("{}", bench.render());
-    let dir = args.json_dir.clone().unwrap_or_else(|| PathBuf::from("."));
-    fs::create_dir_all(&dir).expect("create json dir");
-    let path = dir.join("BENCH_cluster.json");
-    fs::write(&path, serde_json::to_vec_pretty(&bench).expect("serialize")).expect("write json");
-    progress!("wrote {}", path.display());
-}
-
 /// The free-form sweep (`repro sweep`): one row per NAS benchmark ×
 /// online rate × scheduler with run time, slowdown against the 100%
 /// Credit baseline, spin waste and VCRD activity.
@@ -1222,7 +1004,10 @@ fn main() {
             "timeline" => run_timeline(p),
             "sweep" => run_sweep(&args),
             "trace" => run_trace(&args),
-            "perf" => run_perf(&args),
+            "ablations" => {
+                let f = asman_report::ablations::run(p);
+                emit(&args, "ablations", f.render(), f.shape_checks(), &f);
+            }
             "audit" => run_audit(&args),
             "cluster" => run_cluster(&args),
             "series" => run_series(&args),
@@ -1249,7 +1034,7 @@ mod tests {
             (TIMELINE, "timeline"),
             (SWEEP, "sweep"),
             (TRACE, "trace"),
-            (PERF, "perf"),
+            (ABLATIONS, "ablations"),
             (AUDIT, "audit"),
             (CLUSTER, "cluster"),
             (SERIES, "series"),

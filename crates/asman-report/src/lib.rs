@@ -19,11 +19,11 @@
 
 #![warn(missing_docs)]
 
+pub mod ablations;
 pub mod audit;
 pub mod bisect;
 pub mod checkpoint;
 pub mod cluster;
-pub mod clusterbench;
 pub mod csv;
 pub mod extensions;
 pub mod figures;

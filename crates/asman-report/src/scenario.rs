@@ -137,7 +137,13 @@ impl SingleVmScenario {
     /// Run `program` on V1 until completion (or horizon); returns the
     /// outcome measurements.
     pub fn run(&self, program: Box<dyn Program>) -> SingleVmOutcome {
-        let mut m = self.build(program);
+        self.run_tuned(program, AsmanConfig::default())
+    }
+
+    /// [`SingleVmScenario::run`] on a tuned testbed (see
+    /// [`SingleVmScenario::build_tuned`]).
+    pub fn run_tuned(&self, program: Box<dyn Program>, tune: AsmanConfig) -> SingleVmOutcome {
+        let mut m = self.build_tuned(program, tune);
         let clk = m.config().clock;
         let done = m.run_to_completion(clk.secs(self.horizon_secs));
         SingleVmOutcome::collect(&m, 1, done)
@@ -146,9 +152,17 @@ impl SingleVmScenario {
     /// Build the machine without running it (for custom measurement
     /// windows, e.g. the 30-second wait traces of Figures 2 and 8).
     pub fn build(&self, program: Box<dyn Program>) -> Machine {
+        self.build_tuned(program, AsmanConfig::default())
+    }
+
+    /// [`SingleVmScenario::build`] with the design parameters of `tune`:
+    /// its machine knobs (the seed and policy stay the scenario's) and,
+    /// under [`Sched::Asman`], its monitor and learning parameters. The
+    /// hook of the design-parameter ablations.
+    pub fn build_tuned(&self, program: Box<dyn Program>, tune: AsmanConfig) -> Machine {
         let cfg = MachineConfig {
             seed: self.seed,
-            ..MachineConfig::default()
+            ..tune.machine
         };
         let mut v1 = VmSpec::new("V1", 4, program)
             .weight(self.weight)
@@ -157,11 +171,17 @@ impl SingleVmScenario {
         if let Some(c) = self.costs {
             v1 = v1.costs(c);
         }
-        machine_for(
-            self.sched,
-            cfg,
-            vec![dom0_vm("V0", 8, self.seed ^ 0xD0), v1],
-        )
+        let specs = vec![dom0_vm("V0", 8, self.seed ^ 0xD0), v1];
+        match self.sched {
+            Sched::Asman => asman_machine(
+                AsmanConfig {
+                    machine: cfg,
+                    ..tune
+                },
+                specs,
+            ),
+            sched => machine_for(sched, cfg, specs),
+        }
     }
 }
 

@@ -15,7 +15,7 @@
 //! barrier and latency histograms observe only simulated cycles — so
 //! the artifact is byte-identical for every `--jobs` value, clean or
 //! faulted. Wall-clock self-profiling deliberately lives elsewhere
-//! (`repro cluster --bench`), where bit-identity is not promised.
+//! (the `benchmark/` package), where bit-identity is not promised.
 
 use asman_cluster::{scenario, Policy};
 use asman_sim::{detect_anomalies, sparkline, Anomaly, EpochSample, SweepRunner};

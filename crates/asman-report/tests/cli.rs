@@ -59,11 +59,15 @@ fn help_exits_zero_with_usage_on_stdout() {
 #[test]
 fn unknown_flag_exits_two() {
     assert_usage_error(&["--bogus"], "unknown option `--bogus`");
+    assert_usage_error(&["cluster", "--bench"], "unknown option `--bench`");
 }
 
+/// `perf` is gone with the other timing harnesses: the `benchmark/`
+/// package times the program.
 #[test]
 fn unknown_target_exits_two() {
     assert_usage_error(&["fig99"], "unknown target `fig99`");
+    assert_usage_error(&["perf"], "unknown target `perf`");
 }
 
 #[test]
@@ -89,22 +93,9 @@ fn bad_cluster_flags_exit_two() {
 }
 
 #[test]
-fn bad_jobs_and_bench_flags_exit_two() {
+fn bad_jobs_flags_exit_two() {
     assert_usage_error(&["--jobs", "banana"], "`banana` is not a number");
     assert_usage_error(&["cluster", "--jobs", "2x"], "`2x` is not a number");
-    assert_usage_error(&["cluster", "--bench", "--bench-hosts"], "needs a comma list");
-    assert_usage_error(
-        &["cluster", "--bench", "--bench-hosts", "2,x"],
-        "`x` is not a number",
-    );
-    assert_usage_error(
-        &["cluster", "--bench", "--bench-hosts", "1"],
-        "at least 2",
-    );
-    assert_usage_error(
-        &["cluster", "--bench", "--bench-jobs", "1,,4"],
-        "is not a number",
-    );
 }
 
 /// `--jobs 0` means "one worker per core" everywhere (SweepRunner's
@@ -118,15 +109,6 @@ fn jobs_zero_means_auto_and_exits_zero() {
         "--jobs 0 must run with auto parallelism\nstderr: {}",
         stderr(&out)
     );
-}
-
-#[test]
-fn usage_documents_bench_flags() {
-    let out = repro(&["--help"]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for flag in ["--bench", "--bench-hosts", "--bench-jobs", "--jobs"] {
-        assert!(stdout.contains(flag), "usage documents {flag}");
-    }
 }
 
 #[test]
@@ -420,6 +402,19 @@ fn bad_fault_plans_exit_two() {
         &["cluster", "--hosts", "3", "--faults", "crash@2:h7"],
         "host 7",
     );
+    // A plan that crashes every host leaves the last crash nowhere to
+    // evacuate its VMs to.
+    for args in [
+        &["cluster", "--hosts", "2", "--faults", "crash@0:h0,crash@1:h1"][..],
+        &["series", "--faults", "crash@1:h2,crash@2:h0,crash@3:h1"],
+        &["bisect", "--hosts", "2", "--faults", "crash@0:h1,crash@1:h0"],
+    ] {
+        assert_usage_error(args, "--faults crashes every host (h0, h1");
+    }
+    assert_usage_error(
+        &["bisect", "--hosts", "2", "--b-faults", "crash@3:h1,crash@5:h0,crash@6:h1"],
+        "--b-faults crashes every host (h0, h1)",
+    );
 }
 
 /// A flag that none of the requested targets reads is an error, not a
@@ -438,6 +433,7 @@ fn flags_no_requested_target_reads_exit_two() {
         (&["series", "--epochs", "4", "--churn", "arrive@1:gang4"], "--churn", "series"),
         (&["fig1", "--class", "s", "--rounds", "1", "--hosts", "9"], "--hosts", "fig1"),
         (&["audit", "--rounds", "3"], "--rounds", "audit"),
+        (&["ablations", "--hosts", "4"], "--hosts", "ablations"),
         // A resumed soak never read --faults either; the scenario check
         // is not even reached.
         (&["soak", "--resume", "/nonexistent/CKPT.json", "--faults", "abort@1"], "--faults", "soak"),
@@ -470,9 +466,8 @@ fn usage_names_every_flag_and_every_trace_category() {
         "-h", "--help", "-q", "--quiet", "--class", "--seed", "--rounds", "--jobs", "--json",
         "--trace", "--trace-cats", "--cells", "--hosts", "--vms", "--epochs", "--policy",
         "--faults", "--churn", "--max-moves", "--audit-every", "--checkpoint-every", "--resume",
-        "--b-policy", "--b-seed", "--b-faults", "--b-churn", "--b-mutate", "--bench",
-        "--bench-hosts", "--bench-jobs", "--window", "--nsigma", "--nas", "--rates", "--scheds",
-        "--csv",
+        "--b-policy", "--b-seed", "--b-faults", "--b-churn", "--b-mutate", "--window",
+        "--nsigma", "--nas", "--rates", "--scheds", "--csv",
     ] {
         let documented = stdout
             .split(|c: char| c.is_whitespace() || c == ',')
@@ -480,6 +475,7 @@ fn usage_names_every_flag_and_every_trace_category() {
         assert!(documented, "usage documents {flag}");
     }
     assert!(stdout.contains("sweep"), "usage lists the sweep target");
+    assert!(stdout.contains("ablations"), "usage lists the ablations target");
     let cats = stdout.split("  --trace-cats").nth(1).expect("--trace-cats documented");
     let cats = cats.split("\n  -").next().unwrap();
     for cat in asman_sim::TraceCat::ALL {

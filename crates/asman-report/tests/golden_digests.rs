@@ -18,6 +18,7 @@
 //! available parallelism.
 
 use asman_cluster::ChurnPlan;
+use asman_report::ablations;
 use asman_report::cluster::{self, ClusterParams};
 use asman_report::soak::{self, SoakParams};
 use asman_report::figures::{
@@ -53,7 +54,7 @@ fn digest<T: Serialize>(artifact: &T) -> String {
 }
 
 /// Every figure target and its pinned class-S digest.
-const GOLDEN: [(&str, &str); 12] = [
+const GOLDEN: [(&str, &str); 13] = [
     ("fig1", "82af5c9243647087"),
     ("fig2", "73707e33e0ece968"),
     ("fig7", "e78fc80a04d78280"),
@@ -66,6 +67,7 @@ const GOLDEN: [(&str, &str); 12] = [
     ("soak", "bab5c163a43c7001"),
     ("timeline-credit", "dc7d40a4ddc94306"),
     ("timeline-asman", "26cd1bf688fda2de"),
+    ("ablations", "1f120b61892e3586"),
 ];
 
 fn actual_digests() -> Vec<(&'static str, String)> {
@@ -108,6 +110,8 @@ fn actual_digests() -> Vec<(&'static str, String)> {
             "timeline-asman",
             digest(&Timeline::lu_testbed(Sched::Asman, ProblemClass::S, 42)),
         ),
+        // The design-parameter sweeps of `repro ablations`.
+        ("ablations", digest(&ablations::run(&p))),
     ]
 }
 

@@ -535,10 +535,10 @@ pub struct FlightRecorder {
 /// High bit of `FlightRecorder::mask` marking a recorder as armed.
 /// An armed recorder with zero category bits passes the cheap
 /// [`FlightRecorder::is_enabled`] guard but fails every per-category
-/// [`FlightRecorder::wants`] test — the configuration `repro perf` uses
-/// to measure the cost of the tracing machinery itself without
-/// capturing anything. Category bits occupy the low [`FLIGHT_CATS`]
-/// bits, so the marker can never collide with one.
+/// [`FlightRecorder::wants`] test — the configuration that measures the
+/// cost of the tracing machinery itself without capturing anything.
+/// Category bits occupy the low [`FLIGHT_CATS`] bits, so the marker can
+/// never collide with one.
 const ARMED: u32 = 1 << 31;
 
 impl FlightRecorder {
