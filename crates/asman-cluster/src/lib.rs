@@ -10,8 +10,8 @@
 //! the only cure is moving a gang elsewhere.
 //!
 //! The driver is deterministic *and parallel*: hosts are advanced to
-//! each epoch boundary on a bounded scoped-thread pool
-//! ([`ClusterConfig::jobs`]; each host is itself a deterministic
+//! each epoch boundary on a persistent worker pool that the cluster
+//! owns ([`ClusterConfig::jobs`]; each host is itself a deterministic
 //! event-driven simulation with its own seed and flight buffer, so no
 //! RNG draw or recorded event can leak across workers), each worker
 //! snapshots its host's per-VM telemetry counters before the barrier,
@@ -406,8 +406,9 @@ pub struct RecoveryReport {
 /// N machines in lock-step plus the global balancer state.
 pub struct Cluster {
     cfg: ClusterConfig,
-    /// Scoped-thread pool advancing hosts within an epoch. Sized once
-    /// from [`ClusterConfig::jobs`] at construction.
+    /// Worker pool advancing hosts within an epoch. Sized once from
+    /// [`ClusterConfig::jobs`] at construction; its parked helper
+    /// threads live as long as the cluster.
     runner: SweepRunner,
     hosts: Vec<Machine>,
     health: Vec<HostHealth>,
@@ -840,7 +841,7 @@ impl Cluster {
     fn advance_hosts(&mut self, end: Cycles) -> AdvanceOut {
         let mut counters: Vec<Vec<VmCounters>> = vec![Vec::new(); self.hosts.len()];
         let mut runnable = vec![0u32; self.hosts.len()];
-        let runner = self.runner;
+        let runner = &self.runner;
         let health = &self.health;
         let live: Vec<(usize, &mut Machine)> = self
             .hosts

@@ -9,10 +9,10 @@
 //! VCRD/spin telemetry driving live migration). `--jobs` drives two
 //! layers of parallelism: policies run as independent sweep cells, and
 //! within each cell the cluster driver advances its hosts to every
-//! epoch boundary on a scoped worker pool
-//! (`asman_cluster::ClusterConfig::jobs`). Neither layer reaches
-//! inside a host's simulation, so results are bit-identical for any
-//! worker count.
+//! epoch boundary on a worker pool of its own, whose helpers stay
+//! parked between epochs (`asman_cluster::ClusterConfig::jobs`).
+//! Neither layer reaches inside a host's simulation, so results are
+//! bit-identical for any worker count.
 
 use asman_cluster::{
     scenario::{self, ConsolidationSpec},

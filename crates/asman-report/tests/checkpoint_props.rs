@@ -20,12 +20,21 @@
 //! multi-chain scenario pins the checkpoint-v2 case the fuzz sweep
 //! cannot guarantee to hit: a boundary with **two** live retry chains
 //! in flight.
+//!
+//! Below the file format sits the vendored JSON decoder, which has no
+//! upstream test suite: generated value trees must round-trip through
+//! it byte-stably, every JSON escape must decode, and every truncation
+//! and single-bit flip of a real checkpoint file must come back from
+//! `read_checkpoint` as `Ok` or `Err`, never as a panic.
 
 use asman_cluster::{
     scenario::ConsolidationSpec, Checkpoint, CheckpointConfig, ChurnPlan, ClusterConfig, Policy,
 };
+use asman_report::checkpoint::{read_checkpoint, write_checkpoint};
 use asman_sim::FaultPlan;
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
+use serde_json::Value;
 
 const EPOCHS: u64 = 8;
 
@@ -265,4 +274,176 @@ fn checkpoint_v2_round_trips_with_two_live_chains() {
             "mid-flight multi-chain restore (jobs {jb} -> {ja}) must be byte-identical"
         );
     }
+}
+
+/// String characters for generated values: ASCII, two-, three- and
+/// four-byte UTF-8, every character the writer escapes by name (`"`,
+/// `\\`, `\n`, `\r`, `\t`), control characters it writes as `\u00XX`,
+/// and DEL, which it writes raw.
+const CHARS: &[char] = &[
+    'a', 'Z', '0', ' ', '/', 'é', 'ß', '→', '€', '😀', '𝄞', '"', '\\', '\n', '\r', '\t', '\u{0}',
+    '\u{1}', '\u{8}', '\u{c}', '\u{1f}', '\u{7f}',
+];
+
+fn pick<T: Copy>(rng: &mut TestRng, from: &[T]) -> T {
+    from[rng.below(from.len() as u64) as usize]
+}
+
+fn string(rng: &mut TestRng) -> String {
+    (0..rng.below(12)).map(|_| pick(rng, CHARS)).collect()
+}
+
+/// Generated `Value` trees, `depth` levels of arrays and objects deep
+/// at most. Scalars are drawn in the form the writer and decoder agree
+/// on — integers are `I64` only when negative (a non-negative one
+/// decodes as `U64`), floats are finite — so a round trip must give
+/// back the tree itself, not only the same text.
+struct ValueTree {
+    depth: u32,
+}
+
+impl Strategy for ValueTree {
+    type Value = Value;
+
+    fn generate(&self, rng: &mut TestRng) -> Value {
+        let inner = ValueTree {
+            depth: self.depth.saturating_sub(1),
+        };
+        match rng.below(if self.depth == 0 { 6 } else { 8 }) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.below(2) == 1),
+            2 => Value::I64(match rng.below(3) {
+                0 => pick(rng, &[i64::MIN, i64::MIN + 1, -1]),
+                _ => (rng.next_u64() | 1 << 63) as i64,
+            }),
+            3 => Value::U64(match rng.below(3) {
+                0 => pick(rng, &[0, u64::MAX, u64::MAX - 1, i64::MAX as u64 + 1]),
+                _ => rng.next_u64(),
+            }),
+            4 => Value::F64(match rng.below(3) {
+                0 => pick(rng, &[0.0, -0.0, 0.5, 1e-7, -2.0, 123_456.789]),
+                _ => (rng.unit_f64() - 0.5) * 2e12,
+            }),
+            5 => Value::Str(string(rng)),
+            6 => Value::Array((0..rng.below(4)).map(|_| inner.generate(rng)).collect()),
+            _ => Value::Object(
+                (0..rng.below(4))
+                    .map(|_| (string(rng), inner.generate(rng)))
+                    .collect(),
+            ),
+        }
+    }
+}
+
+/// One piece of a JSON string literal as text, with the character it
+/// must decode to: raw text, or any of the escapes JSON defines,
+/// including `\uXXXX` surrogate pairs.
+fn literal_piece(rng: &mut TestRng) -> (String, char) {
+    const NAMED: &[(&str, char)] = &[
+        ("\\\"", '"'),
+        ("\\\\", '\\'),
+        ("\\/", '/'),
+        ("\\b", '\u{8}'),
+        ("\\f", '\u{c}'),
+        ("\\n", '\n'),
+        ("\\r", '\r'),
+        ("\\t", '\t'),
+    ];
+    match rng.below(3) {
+        0 => {
+            let (text, c) = pick(rng, NAMED);
+            (text.to_string(), c)
+        }
+        1 => {
+            let c = pick(
+                rng,
+                &['\u{0}', '\u{1f}', 'A', 'é', '→', '\u{ffff}', '😀', '𝄞'],
+            );
+            let mut units = [0u16; 2];
+            let text = c
+                .encode_utf16(&mut units)
+                .iter()
+                .map(|u| {
+                    if rng.below(2) == 0 {
+                        format!("\\u{u:04x}")
+                    } else {
+                        format!("\\u{u:04X}")
+                    }
+                })
+                .collect();
+            (text, c)
+        }
+        _ => {
+            // Raw text: anything but the quote, the backslash and the
+            // control characters, which must be escaped.
+            let c = pick(rng, &['a', ' ', '/', 'é', '→', '😀', '\u{7f}']);
+            (c.to_string(), c)
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Value trees round-trip through the checkpoint file encoding:
+    /// pretty text decodes to the same tree and renders to the same
+    /// bytes.
+    #[test]
+    fn json_values_round_trip_byte_stably(v in ValueTree { depth: 4 }) {
+        let text = serde_json::to_string_pretty(&v).expect("serialize");
+        let back = serde_json::from_str(&text).expect("the writer's output parses");
+        prop_assert_eq!(&back, &v);
+        prop_assert_eq!(serde_json::to_string_pretty(&back).expect("serialize"), text);
+    }
+
+    /// Every escape JSON defines decodes to its character, mixed with
+    /// raw runs of multi-byte text.
+    #[test]
+    fn json_string_escapes_decode(seed in any::<u64>()) {
+        let mut rng = TestRng::from_case("json_string_escapes_decode", seed);
+        let (mut text, mut want) = (String::from("\""), String::new());
+        for _ in 0..rng.below(16) {
+            let (piece, c) = literal_piece(&mut rng);
+            text.push_str(&piece);
+            want.push(c);
+        }
+        text.push('"');
+        prop_assert_eq!(serde_json::from_str(&text).expect("valid literal"), Value::Str(want));
+    }
+}
+
+/// Hostile checkpoint files: every truncation of a real checkpoint is
+/// refused, and a bit flip at every byte of it decodes or is refused —
+/// `read_checkpoint` returns instead of panicking.
+#[test]
+fn truncated_and_bit_flipped_checkpoints_never_panic() {
+    let cfg = config(42, Policy::VcrdAware, "abort@1", 1, 2);
+    let mut c = cfg.build_cluster(1);
+    for _ in 0..4 {
+        c.run_epoch();
+    }
+    let dir = std::env::temp_dir().join(format!("asman-ckpt-hostile-{}", std::process::id()));
+    let good = write_checkpoint(&dir, &Checkpoint::capture(&c, cfg)).expect("write checkpoint");
+    assert!(read_checkpoint(&good).is_ok(), "the intact file decodes");
+    let bytes = std::fs::read(&good).expect("read checkpoint");
+    let bad = dir.join("CKPT_hostile.json");
+    let read = |b: &[u8]| {
+        std::fs::write(&bad, b).expect("write hostile file");
+        read_checkpoint(&bad)
+    };
+    for len in 0..bytes.len() {
+        assert!(
+            read(&bytes[..len]).is_err(),
+            "a {len}-byte truncation decoded"
+        );
+    }
+    for pos in 0..bytes.len() {
+        // Bits 0-6 keep the byte ASCII, so the flip reaches the JSON
+        // decoder and the schema instead of failing UTF-8 validation.
+        let mut flipped = bytes.clone();
+        flipped[pos] ^= 1 << (pos % 7);
+        // Ok or Err both pass: a flipped digit is still a checkpoint.
+        let _ = read(&flipped);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

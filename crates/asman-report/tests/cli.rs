@@ -235,6 +235,21 @@ fn bad_checkpoint_flags_exit_two() {
     );
 }
 
+/// A hostile checkpoint nested 100,000 arrays deep is refused with a
+/// usage error naming the file, not a stack overflow (exit 134).
+#[test]
+fn deeply_nested_checkpoint_exits_two() {
+    let dir = std::env::temp_dir().join(format!("asman-cli-nested-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("CKPT_nested.json");
+    std::fs::write(&path, "[".repeat(100_000)).expect("write hostile checkpoint");
+    assert_usage_error(
+        &["soak", "--resume", path.to_str().expect("utf8 temp path")],
+        "CKPT_nested.json: recursion limit exceeded",
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn resume_conflicts_with_scenario_flags() {
     // The conflict is caught before the file is even opened — the

@@ -1,8 +1,9 @@
 //! Parallel sweep executor.
 //!
-//! The repository's one concurrency primitive: a bounded pool of scoped
-//! worker threads that runs independent *cells* and returns their
-//! results in deterministic cell order. Two layers build on it:
+//! The repository's one concurrency primitive: a persistent pool that
+//! runs independent *cells* on the calling thread plus `jobs − 1`
+//! helper threads and returns their results in deterministic cell
+//! order. Two layers build on it:
 //!
 //! * **Across simulations** — every figure of the reproduction is a
 //!   sweep of (scheduler, rate, workload, round) cells, each building
@@ -12,6 +13,11 @@
 //!   independent host machines to the next epoch boundary as N cells,
 //!   then runs the balancer serially at the barrier
 //!   (`asman-cluster::Cluster::run_epoch`).
+//!
+//! [`SweepRunner::new`] spawns the helpers once; between calls they
+//! park on a condition variable, so a caller that sweeps often (the
+//! cluster driver sweeps once per epoch) spawns and joins no thread
+//! per call. Dropping the runner joins them.
 //!
 //! Cells share no state, so determinism is preserved because
 //! parallelism never reaches inside a simulation, and results are
@@ -24,7 +30,8 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
 /// Best-effort text of a panic payload (`panic!` with a string covers
 /// every cell in practice; anything else degrades to a placeholder).
@@ -36,16 +43,183 @@ fn payload_msg(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("non-string panic payload")
 }
 
-/// Executes a sweep's cells across a bounded pool of scoped threads,
-/// returning results in deterministic cell order.
-#[derive(Clone, Copy, Debug)]
+/// A published sweep as the helpers see it: the drain loop of one
+/// [`SweepRunner::run`] call, its borrow lifetime erased by
+/// [`Pool::drain_with_helpers`].
+type Job = &'static (dyn Fn() + Sync);
+
+/// Pool state shared by the callers and the helpers.
+struct State {
+    /// Bumped once per published job, so a helper runs each job once.
+    generation: u64,
+    /// The job being drained; `None` between calls.
+    job: Option<Job>,
+    /// Helpers currently running `job`.
+    active: usize,
+    /// A `run` call owns the pool, from publishing its job until no
+    /// helper still holds it.
+    busy: bool,
+    /// Set when the runner is dropped: helpers exit.
+    shutdown: bool,
+}
+
+struct Shared {
+    state: Mutex<State>,
+    /// Helpers park here between jobs.
+    wake: Condvar,
+    /// The caller waits here for `active` to fall to zero.
+    idle: Condvar,
+}
+
+impl Shared {
+    /// Lock the state. Every update under the lock is a single field
+    /// store that leaves the state valid, so a poisoned lock is
+    /// recovered instead of propagated; that also keeps the drop
+    /// guards below from panicking.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A helper's life: park until a job of a generation it has not
+    /// run is published, join its drain, and repeat until shutdown.
+    fn serve(&self) {
+        let mut seen = 0;
+        let mut st = self.lock();
+        while !st.shutdown {
+            match st.job {
+                Some(job) if st.generation != seen => {
+                    seen = st.generation;
+                    st.active += 1;
+                    drop(st);
+                    {
+                        let _leave = Leave(self);
+                        job();
+                    }
+                    st = self.lock();
+                }
+                _ => st = self.wake.wait(st).unwrap_or_else(PoisonError::into_inner),
+            }
+        }
+    }
+}
+
+/// Counts a helper out of the job it took, on return and on unwind,
+/// and wakes the caller when it was the last one.
+struct Leave<'a>(&'a Shared);
+
+impl Drop for Leave<'_> {
+    fn drop(&mut self) {
+        let mut st = self.0.lock();
+        st.active -= 1;
+        if st.active == 0 {
+            self.0.idle.notify_all();
+        }
+    }
+}
+
+/// Withdraws the published job, waits until no helper still runs it,
+/// and frees the pool for the next call. Dropped when
+/// [`Pool::drain_with_helpers`] returns *or unwinds*, which is what
+/// keeps the erased borrow from outliving the call.
+struct Retire<'a>(&'a Shared);
+
+impl Drop for Retire<'_> {
+    fn drop(&mut self) {
+        let mut st = self.0.lock();
+        st.job = None;
+        while st.active > 0 {
+            st = self.0.idle.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        st.busy = false;
+    }
+}
+
+/// The parked helper threads and the state they share with callers.
+struct Pool {
+    shared: Arc<Shared>,
+    helpers: Vec<JoinHandle<()>>,
+}
+
+impl Pool {
+    fn spawn(helpers: usize) -> Pool {
+        let shared = Arc::new(Shared {
+            state: Mutex::new(State {
+                generation: 0,
+                job: None,
+                active: 0,
+                busy: false,
+                shutdown: false,
+            }),
+            wake: Condvar::new(),
+            idle: Condvar::new(),
+        });
+        let helpers = (0..helpers)
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || shared.serve())
+            })
+            .collect();
+        Pool { shared, helpers }
+    }
+
+    /// Run `drain` on the calling thread and on every helper, returning
+    /// once no helper still runs it. Returns `false` without running
+    /// anything when another call owns the pool: a cell sweeping on
+    /// the runner that executes it, or a second thread sharing it.
+    fn drain_with_helpers(&self, drain: &(dyn Fn() + Sync)) -> bool {
+        {
+            let mut st = self.shared.lock();
+            if st.busy {
+                return false;
+            }
+            // SAFETY: only the borrow lifetime is erased; the type and
+            // layout are unchanged. Helpers call the job only after
+            // taking it from `State::job` under the lock, counted in
+            // `active`. The `Retire` guard, created right after this
+            // block and dropped when this function returns or unwinds,
+            // withdraws the job under the lock (no helper can take it
+            // after that) and then waits until `active` is zero (every
+            // helper that took it has returned from it). So every call
+            // through the erased reference ends before `drain`, which
+            // the caller's frame owns, can go out of scope.
+            let job = unsafe { std::mem::transmute::<&(dyn Fn() + Sync), Job>(drain) };
+            st.busy = true;
+            st.generation += 1;
+            st.job = Some(job);
+        }
+        let _retire = Retire(&self.shared);
+        self.shared.wake.notify_all();
+        drain();
+        true
+    }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        self.shared.lock().shutdown = true;
+        self.shared.wake.notify_all();
+        for helper in self.helpers.drain(..) {
+            // Cells run under `catch_unwind`, so a helper can only have
+            // panicked on a broken pool invariant; the panic hook has
+            // already reported it, and `Drop` must not panic again.
+            let _ = helper.join();
+        }
+    }
+}
+
+/// Executes a sweep's cells on a persistent pool of parked helper
+/// threads plus the calling thread, returning results in deterministic
+/// cell order.
 pub struct SweepRunner {
     jobs: usize,
+    /// `None` when `jobs <= 1`: every sweep is a plain in-order loop.
+    pool: Option<Pool>,
 }
 
 impl SweepRunner {
     /// Runner with an explicit worker count; `0` selects
-    /// [`std::thread::available_parallelism`].
+    /// [`std::thread::available_parallelism`]. Spawns the `jobs − 1`
+    /// helper threads, which live until the runner is dropped.
     pub fn new(jobs: usize) -> Self {
         let jobs = if jobs == 0 {
             std::thread::available_parallelism()
@@ -54,7 +228,8 @@ impl SweepRunner {
         } else {
             jobs
         };
-        SweepRunner { jobs }
+        let pool = (jobs > 1).then(|| Pool::spawn(jobs - 1));
+        SweepRunner { jobs, pool }
     }
 
     /// Runner sized to the host's available parallelism.
@@ -62,7 +237,7 @@ impl SweepRunner {
         SweepRunner::new(0)
     }
 
-    /// The effective worker count.
+    /// The effective worker count, the calling thread included.
     pub fn jobs(&self) -> usize {
         self.jobs
     }
@@ -70,24 +245,25 @@ impl SweepRunner {
     /// Run every cell and return their results in cell order.
     ///
     /// With one job (or at most one cell) this is an ordinary sequential
-    /// loop on the calling thread. Otherwise workers claim cells through
-    /// an atomic cursor — claim order is racy, but each result lands in
-    /// its own cell's slot, so the returned `Vec` is independent of
-    /// thread scheduling.
+    /// loop on the calling thread. Otherwise the calling thread and the
+    /// helpers claim cells through an atomic cursor — claim order is
+    /// racy, but each result lands in its own cell's slot, so the
+    /// returned `Vec` is independent of thread scheduling. A call made
+    /// while another owns the pool (a cell sweeping on this same
+    /// runner, or a second thread) claims every cell on its own thread.
     ///
-    /// A panicking cell no longer unwinds through the scoped pool
-    /// (which used to leave sibling slots half-initialized and poison
-    /// the result mutexes): every cell runs under `catch_unwind`, all
-    /// workers are joined normally, and then the panic of the
-    /// *lowest-indexed* failing cell is re-raised with the cell index
-    /// in its message.
+    /// A panicking cell does not unwind through the pool: every cell
+    /// runs under `catch_unwind`, every helper finishes the sweep
+    /// normally, and then the panic of the *lowest-indexed* failing
+    /// cell is re-raised with the cell index in its message. The
+    /// runner stays usable afterwards.
     pub fn run<T, F>(&self, cells: Vec<F>) -> Vec<T>
     where
         T: Send,
         F: FnOnce() -> T + Send,
     {
         let n = cells.len();
-        if self.jobs <= 1 || n <= 1 {
+        let Some(pool) = self.pool.as_ref().filter(|_| n > 1) else {
             return cells
                 .into_iter()
                 .enumerate()
@@ -96,38 +272,39 @@ impl SweepRunner {
                     Err(p) => panic!("sweep cell {i} panicked: {}", payload_msg(p.as_ref())),
                 })
                 .collect();
-        }
+        };
         let slots: Vec<Mutex<Option<F>>> =
             cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
         let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let panicked: Mutex<Option<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
+        // The cursor only hands out indices; cells and results travel
+        // through the slot mutexes, so it needs no ordering.
         let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..self.jobs.min(n) {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let cell = slots[i]
-                        .lock()
-                        .expect("cell slot poisoned")
-                        .take()
-                        .expect("cell claimed twice");
-                    match catch_unwind(AssertUnwindSafe(cell)) {
-                        Ok(out) => {
-                            *results[i].lock().expect("result slot poisoned") = Some(out);
-                        }
-                        Err(p) => {
-                            let mut first = panicked.lock().expect("panic slot poisoned");
-                            if first.as_ref().is_none_or(|&(j, _)| i < j) {
-                                *first = Some((i, p));
-                            }
-                        }
-                    }
-                });
+        let drain = || loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
             }
-        });
+            let cell = slots[i]
+                .lock()
+                .expect("cell slot poisoned")
+                .take()
+                .expect("cell claimed twice");
+            match catch_unwind(AssertUnwindSafe(cell)) {
+                Ok(out) => {
+                    *results[i].lock().expect("result slot poisoned") = Some(out);
+                }
+                Err(p) => {
+                    let mut first = panicked.lock().expect("panic slot poisoned");
+                    if first.as_ref().is_none_or(|&(j, _)| i < j) {
+                        *first = Some((i, p));
+                    }
+                }
+            }
+        };
+        if !pool.drain_with_helpers(&drain) {
+            drain();
+        }
         if let Some((i, p)) = panicked.into_inner().expect("panic slot poisoned") {
             panic!("sweep cell {i} panicked: {}", payload_msg(p.as_ref()));
         }
@@ -156,6 +333,14 @@ impl SweepRunner {
 impl Default for SweepRunner {
     fn default() -> Self {
         SweepRunner::auto()
+    }
+}
+
+impl std::fmt::Debug for SweepRunner {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SweepRunner")
+            .field("jobs", &self.jobs)
+            .finish()
     }
 }
 
@@ -232,5 +417,70 @@ mod tests {
                 "jobs={jobs}: unexpected message: {msg}"
             );
         }
+    }
+
+    /// The caller and both helpers of a `jobs = 3` runner run cells at
+    /// the same time: every cell waits at one three-party barrier,
+    /// which opens only while three cells are in flight at once.
+    #[test]
+    fn caller_and_helpers_run_cells_concurrently() {
+        let runner = SweepRunner::new(3);
+        let barrier = std::sync::Barrier::new(3);
+        let out = runner.map(vec![0usize, 1, 2], |i| {
+            barrier.wait();
+            i
+        });
+        assert_eq!(out, vec![0, 1, 2]);
+    }
+
+    /// Helpers persist across calls: a thousand sweeps on one runner
+    /// see at most `jobs` distinct threads (the caller and its parked
+    /// helpers), where spawning per call would show thousands.
+    #[test]
+    fn helpers_persist_across_calls() {
+        let runner = SweepRunner::new(3);
+        let mut threads = std::collections::HashSet::new();
+        for _ in 0..1000 {
+            threads.extend(runner.map((0..8u32).collect(), |_| std::thread::current().id()));
+        }
+        assert!(
+            threads.len() <= runner.jobs(),
+            "{} distinct threads ran cells of a jobs = {} runner",
+            threads.len(),
+            runner.jobs()
+        );
+    }
+
+    /// A sweep whose cell panicked leaves the runner usable: the next
+    /// sweep on it runs clean and returns its results in cell order.
+    #[test]
+    fn runner_recovers_after_a_cell_panic() {
+        let runner = SweepRunner::new(4);
+        let failed = catch_unwind(AssertUnwindSafe(|| {
+            runner.map((0..16usize).collect(), |i| {
+                if i == 5 {
+                    panic!("boom in {i}");
+                }
+                i
+            })
+        }));
+        assert!(failed.is_err(), "the panicking sweep must fail");
+        let out = runner.map((0..16usize).collect(), |i| i * 2);
+        assert_eq!(out, (0..16).map(|i| i * 2).collect::<Vec<_>>());
+    }
+
+    /// A cell that sweeps on the runner executing it finds the pool
+    /// busy and runs its inner cells on its own thread, in order,
+    /// instead of deadlocking.
+    #[test]
+    fn nested_sweep_on_the_same_runner_runs_in_place() {
+        let runner = SweepRunner::new(3);
+        let out = runner.map((0..6u64).collect(), |i| {
+            runner.map((0..4u64).collect(), |j| i * 10 + j)
+        });
+        let want: Vec<Vec<u64>> = (0..6)
+            .map(|i| (0..4).map(|j| i * 10 + j).collect())
+            .collect();
+        assert_eq!(out, want);
     }
 }
