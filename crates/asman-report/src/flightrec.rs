@@ -23,6 +23,7 @@
 //! are byte-identical for any `--jobs` value.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -32,7 +33,8 @@ use asman_sim::lhp::{detect_lhp, LhpEpisode, LhpSummary};
 use asman_sim::registry::MetricsRegistry;
 use asman_sim::{Clock, Cycles};
 use asman_workloads::{NasBenchmark, NasSpec};
-use serde::{Serialize, Value};
+use serde::Serialize;
+use serde_json::Writer;
 
 use crate::figures::FigureParams;
 use crate::scenario::{Sched, SingleVmScenario};
@@ -110,53 +112,103 @@ const TID_VMM_ROW: u64 = 4_999;
 const TID_MIG_ROW: u64 = 4_998;
 const PID_LHP_BASE: u64 = 1_000;
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+/// One numeric member of an event's `args` object.
+#[derive(Clone, Copy)]
+enum Arg {
+    U(u64),
+    I(i64),
+    F(f64),
 }
 
-fn span(name: String, pid: u64, tid: u64, ts: f64, dur: f64, args: Value) -> Value {
-    obj(vec![
-        ("name", Value::Str(name)),
-        ("ph", Value::Str("X".to_string())),
-        ("pid", Value::U64(pid)),
-        ("tid", Value::U64(tid)),
-        ("ts", Value::F64(ts)),
-        ("dur", Value::F64(dur)),
-        ("args", args),
-    ])
-}
-
-fn instant(name: String, pid: u64, tid: u64, ts: f64, args: Value) -> Value {
-    obj(vec![
-        ("name", Value::Str(name)),
-        ("ph", Value::Str("i".to_string())),
-        ("s", Value::Str("t".to_string())),
-        ("pid", Value::U64(pid)),
-        ("tid", Value::U64(tid)),
-        ("ts", Value::F64(ts)),
-        ("args", args),
-    ])
-}
-
-fn meta_name(kind: &str, pid: u64, tid: Option<u64>, name: &str) -> Value {
-    let mut fields = vec![
-        ("name", Value::Str(kind.to_string())),
-        ("ph", Value::Str("M".to_string())),
-        ("pid", Value::U64(pid)),
-    ];
-    if let Some(tid) = tid {
-        fields.push(("tid", Value::U64(tid)));
+/// Write an event's `args`: `null` when there are none.
+fn args(w: &mut Writer, members: &[(&str, Arg)]) {
+    w.key("args");
+    if members.is_empty() {
+        w.null();
+        return;
     }
-    fields.push((
-        "args",
-        obj(vec![("name", Value::Str(name.to_string()))]),
-    ));
-    obj(fields)
+    w.begin_object();
+    for &(k, v) in members {
+        w.key(k);
+        match v {
+            Arg::U(x) => w.u64(x),
+            Arg::I(x) => w.i64(x),
+            Arg::F(x) => w.f64(x),
+        }
+    }
+    w.end_object();
+}
+
+/// A complete (`X`) event: a span of `dur` µs from `ts`.
+fn span(
+    w: &mut Writer,
+    name: fmt::Arguments<'_>,
+    (pid, tid): (u64, u64),
+    ts: f64,
+    dur: f64,
+    members: &[(&str, Arg)],
+) {
+    w.begin_object();
+    w.key("name");
+    w.str_fmt(name);
+    w.key("ph");
+    w.str("X");
+    w.key("pid");
+    w.u64(pid);
+    w.key("tid");
+    w.u64(tid);
+    w.key("ts");
+    w.f64(ts);
+    w.key("dur");
+    w.f64(dur);
+    args(w, members);
+    w.end_object();
+}
+
+/// A thread-scoped instant (`i`) event at `ts` µs.
+fn instant(
+    w: &mut Writer,
+    name: fmt::Arguments<'_>,
+    (pid, tid): (u64, u64),
+    ts: f64,
+    members: &[(&str, Arg)],
+) {
+    w.begin_object();
+    w.key("name");
+    w.str_fmt(name);
+    w.key("ph");
+    w.str("i");
+    w.key("s");
+    w.str("t");
+    w.key("pid");
+    w.u64(pid);
+    w.key("tid");
+    w.u64(tid);
+    w.key("ts");
+    w.f64(ts);
+    args(w, members);
+    w.end_object();
+}
+
+/// A metadata (`M`) event naming a process (`tid` = `None`) or thread.
+fn meta_name(w: &mut Writer, kind: &str, pid: u64, tid: Option<u64>, name: fmt::Arguments<'_>) {
+    w.begin_object();
+    w.key("name");
+    w.str(kind);
+    w.key("ph");
+    w.str("M");
+    w.key("pid");
+    w.u64(pid);
+    if let Some(tid) = tid {
+        w.key("tid");
+        w.u64(tid);
+    }
+    w.key("args");
+    w.begin_object();
+    w.key("name");
+    w.str_fmt(name);
+    w.end_object();
+    w.end_object();
 }
 
 fn futex_name(futex: u32) -> String {
@@ -167,28 +219,40 @@ fn futex_name(futex: u32) -> String {
     }
 }
 
-/// Build the Chrome trace-event document for a merged event stream.
+/// Render the Chrome trace-event document for a merged event stream,
+/// pretty-printed, writing each event straight into the output.
 ///
 /// `end` closes spans still open when the recording window ended.
-fn chrome_trace(events: &[FlightEvent], episodes: &[LhpEpisode], topo: &Topo, end: Cycles) -> Value {
-    let mut out: Vec<Value> = Vec::new();
+fn chrome_trace(
+    events: &[FlightEvent],
+    episodes: &[LhpEpisode],
+    topo: &Topo,
+    end: Cycles,
+) -> Vec<u8> {
+    let mut w = Writer::pretty();
+    w.begin_object();
+    w.key("displayTimeUnit");
+    w.str("ms");
+    w.key("traceEvents");
+    w.begin_array();
 
     // Metadata: process and thread names, fixed order.
-    out.push(meta_name("process_name", 0, None, "PCPUs"));
+    meta_name(&mut w, "process_name", 0, None, format_args!("PCPUs"));
     for p in 0..topo.pcpus {
-        out.push(meta_name("thread_name", 0, Some(p as u64), &format!("pcpu{p}")));
+        meta_name(&mut w, "thread_name", 0, Some(p as u64), format_args!("pcpu{p}"));
     }
     for (vm, name) in topo.vm_names.iter().enumerate() {
         let pid = vm as u64 + 1;
-        out.push(meta_name("process_name", pid, None, name));
-        out.push(meta_name("thread_name", pid, Some(TID_VMM_ROW), "vmm"));
+        meta_name(&mut w, "process_name", pid, None, format_args!("{name}"));
+        meta_name(&mut w, "thread_name", pid, Some(TID_VMM_ROW), format_args!("vmm"));
         for slot in 0..topo.vm_vcpus[vm] {
-            out.push(meta_name(
+            meta_name(
+                &mut w,
                 "thread_name",
                 pid,
                 Some(TID_VMM_VCPU_BASE + slot as u64),
-                &format!("v{slot} (vmm)"),
-            ));
+                format_args!("v{slot} (vmm)"),
+            );
         }
     }
 
@@ -216,15 +280,16 @@ fn chrome_trace(events: &[FlightEvent], episodes: &[LhpEpisode], topo: &Topo, en
         }
     }
     if has_migrations {
-        out.push(meta_name("thread_name", 0, Some(TID_MIG_ROW), "migrations"));
+        meta_name(&mut w, "thread_name", 0, Some(TID_MIG_ROW), format_args!("migrations"));
     }
     for &(vm, thread) in &guest_threads {
-        out.push(meta_name(
+        meta_name(
+            &mut w,
             "thread_name",
             vm as u64 + 1,
             Some(thread as u64),
-            &format!("t{thread}"),
-        ));
+            format_args!("t{thread}"),
+        );
     }
 
     // Open-span state. Keys are small integers; leftovers are flushed in
@@ -235,183 +300,154 @@ fn chrome_trace(events: &[FlightEvent], episodes: &[LhpEpisode], topo: &Topo, en
     // span id -> (t0, vm, from, to, attempt, pages); one slice per attempt.
     let mut mig_open: HashMap<u32, (Cycles, u32, u32, u32, u32, u64)> = HashMap::new();
 
-    let vcpu_label = |vcpu: u32| {
+    let close_run = |w: &mut Writer, vcpu: u32, t0: Cycles, pcpu: u32, t1: Cycles| {
         let (vm, slot) = topo.locate(vcpu);
+        let track = (0, pcpu as u64);
+        let (ts, dur) = (topo.us(t0), topo.us(t1.saturating_sub(t0)));
+        let members = [("vcpu", Arg::U(vcpu as u64))];
         match topo.vm_names.get(vm as usize) {
-            Some(name) => format!("{name}/v{slot}"),
-            None => format!("v{vcpu}"),
+            Some(name) => span(w, format_args!("{name}/v{slot}"), track, ts, dur, &members),
+            None => span(w, format_args!("v{vcpu}"), track, ts, dur, &members),
         }
     };
-    let close_run = |out: &mut Vec<Value>, vcpu: u32, t0: Cycles, pcpu: u32, t1: Cycles| {
-        out.push(span(
-            vcpu_label(vcpu),
-            0,
-            pcpu as u64,
-            topo.us(t0),
-            topo.us(t1.saturating_sub(t0)),
-            obj(vec![("vcpu", Value::U64(vcpu as u64))]),
-        ));
+    // The VMM-side row of a VCPU, and the per-VM VMM row.
+    let vcpu_row = |vm: u32, vcpu: u32| {
+        (vm as u64 + 1, TID_VMM_VCPU_BASE + topo.locate(vcpu).1 as u64)
     };
+    let vmm_row = |vm: u32| (vm as u64 + 1, TID_VMM_ROW);
+    let thread_row = |vm: u32, thread: u32| (vm as u64 + 1, thread as u64);
 
     for e in events {
         let t = e.t;
+        let w = &mut w;
         match e.ev {
             FlightEv::Dispatch { vcpu, pcpu, .. } => {
                 running.insert(vcpu, (t, pcpu));
             }
             FlightEv::Preempt { vcpu, .. } | FlightEv::Block { vcpu, .. } => {
                 if let Some((t0, pcpu)) = running.remove(&vcpu) {
-                    close_run(&mut out, vcpu, t0, pcpu, t);
+                    close_run(w, vcpu, t0, pcpu, t);
                 }
             }
-            FlightEv::Wake { vcpu, vm, boost } => {
-                let (_, slot) = topo.locate(vcpu);
-                out.push(instant(
-                    if boost { "wake+boost".to_string() } else { "wake".to_string() },
-                    vm as u64 + 1,
-                    TID_VMM_VCPU_BASE + slot as u64,
-                    topo.us(t),
-                    Value::Null,
-                ));
-            }
+            FlightEv::Wake { vcpu, vm, boost } => instant(
+                w,
+                format_args!("{}", if boost { "wake+boost" } else { "wake" }),
+                vcpu_row(vm, vcpu),
+                topo.us(t),
+                &[],
+            ),
             FlightEv::Steal { vcpu, vm, from, to } | FlightEv::Migrate { vcpu, vm, from, to } => {
-                let (_, slot) = topo.locate(vcpu);
-                out.push(instant(
-                    format!("{} {from}->{to}", e.ev.kind()),
-                    vm as u64 + 1,
-                    TID_VMM_VCPU_BASE + slot as u64,
+                instant(
+                    w,
+                    format_args!("{} {from}->{to}", e.ev.kind()),
+                    vcpu_row(vm, vcpu),
                     topo.us(t),
-                    Value::Null,
-                ));
+                    &[],
+                )
             }
-            FlightEv::CreditAssign { vcpu, vm, income, credit } => {
-                let (_, slot) = topo.locate(vcpu);
-                out.push(instant(
-                    "credit".to_string(),
-                    vm as u64 + 1,
-                    TID_VMM_VCPU_BASE + slot as u64,
-                    topo.us(t),
-                    obj(vec![
-                        ("income", Value::I64(income)),
-                        ("credit", Value::I64(credit)),
-                    ]),
-                ));
-            }
-            FlightEv::Park { vcpu, vm } | FlightEv::Unpark { vcpu, vm } => {
-                let (_, slot) = topo.locate(vcpu);
-                out.push(instant(
-                    e.ev.kind().to_string(),
-                    vm as u64 + 1,
-                    TID_VMM_VCPU_BASE + slot as u64,
-                    topo.us(t),
-                    Value::Null,
-                ));
-            }
-            FlightEv::CoschedBurst { vm, boosted } => {
-                out.push(instant(
-                    "cosched burst".to_string(),
-                    vm as u64 + 1,
-                    TID_VMM_ROW,
-                    topo.us(t),
-                    obj(vec![("boosted", Value::U64(boosted as u64))]),
-                ));
-            }
-            FlightEv::VcrdChange { vm, high } => {
-                out.push(instant(
-                    if high { "VCRD high".to_string() } else { "VCRD low".to_string() },
-                    vm as u64 + 1,
-                    TID_VMM_ROW,
-                    topo.us(t),
-                    Value::Null,
-                ));
-            }
+            FlightEv::CreditAssign { vcpu, vm, income, credit } => instant(
+                w,
+                format_args!("credit"),
+                vcpu_row(vm, vcpu),
+                topo.us(t),
+                &[("income", Arg::I(income)), ("credit", Arg::I(credit))],
+            ),
+            FlightEv::Park { vcpu, vm } | FlightEv::Unpark { vcpu, vm } => instant(
+                w,
+                format_args!("{}", e.ev.kind()),
+                vcpu_row(vm, vcpu),
+                topo.us(t),
+                &[],
+            ),
+            FlightEv::CoschedBurst { vm, boosted } => instant(
+                w,
+                format_args!("cosched burst"),
+                vmm_row(vm),
+                topo.us(t),
+                &[("boosted", Arg::U(boosted as u64))],
+            ),
+            FlightEv::VcrdChange { vm, high } => instant(
+                w,
+                format_args!("{}", if high { "VCRD high" } else { "VCRD low" }),
+                vmm_row(vm),
+                topo.us(t),
+                &[],
+            ),
             FlightEv::LockContend { vm, thread, lock, .. } => {
                 spinning.insert((vm, thread), (t, lock));
             }
             FlightEv::LockAcquire { vm, thread, lock, .. } => {
                 if let Some((t0, l)) = spinning.remove(&(vm, thread)) {
                     if l == lock {
-                        out.push(span(
-                            format!("spin L{lock}"),
-                            vm as u64 + 1,
-                            thread as u64,
+                        span(
+                            w,
+                            format_args!("spin L{lock}"),
+                            thread_row(vm, thread),
                             topo.us(t0),
                             topo.us(t.saturating_sub(t0)),
-                            Value::Null,
-                        ));
+                            &[],
+                        );
                     }
                 }
                 holding.insert((vm, thread, lock), t);
             }
             FlightEv::LockRelease { vm, thread, lock, .. } => {
                 if let Some(t0) = holding.remove(&(vm, thread, lock)) {
-                    out.push(span(
-                        format!("hold L{lock}"),
-                        vm as u64 + 1,
-                        thread as u64,
+                    span(
+                        w,
+                        format_args!("hold L{lock}"),
+                        thread_row(vm, thread),
                         topo.us(t0),
                         topo.us(t.saturating_sub(t0)),
-                        Value::Null,
-                    ));
+                        &[],
+                    );
                 }
             }
-            FlightEv::FutexBlock { vm, thread, futex, .. } => {
-                out.push(instant(
-                    format!("futex block {}", futex_name(futex)),
-                    vm as u64 + 1,
-                    thread as u64,
-                    topo.us(t),
-                    Value::Null,
-                ));
-            }
-            FlightEv::FutexWake { vm, thread, futex, woken, .. } => {
-                out.push(instant(
-                    format!("futex wake {}", futex_name(futex)),
-                    vm as u64 + 1,
-                    thread as u64,
-                    topo.us(t),
-                    obj(vec![("woken", Value::U64(woken as u64))]),
-                ));
-            }
-            FlightEv::BarrierArrive { vm, thread, barrier, arrived, .. } => {
-                out.push(instant(
-                    format!("arrive b{barrier}"),
-                    vm as u64 + 1,
-                    thread as u64,
-                    topo.us(t),
-                    obj(vec![("arrived", Value::U64(arrived as u64))]),
-                ));
-            }
-            FlightEv::BarrierRelease { vm, thread, barrier, woken, .. } => {
-                out.push(instant(
-                    format!("release b{barrier}"),
-                    vm as u64 + 1,
-                    thread as u64,
-                    topo.us(t),
-                    obj(vec![("woken", Value::U64(woken as u64))]),
-                ));
-            }
+            FlightEv::FutexBlock { vm, thread, futex, .. } => instant(
+                w,
+                format_args!("futex block {}", futex_name(futex)),
+                thread_row(vm, thread),
+                topo.us(t),
+                &[],
+            ),
+            FlightEv::FutexWake { vm, thread, futex, woken, .. } => instant(
+                w,
+                format_args!("futex wake {}", futex_name(futex)),
+                thread_row(vm, thread),
+                topo.us(t),
+                &[("woken", Arg::U(woken as u64))],
+            ),
+            FlightEv::BarrierArrive { vm, thread, barrier, arrived, .. } => instant(
+                w,
+                format_args!("arrive b{barrier}"),
+                thread_row(vm, thread),
+                topo.us(t),
+                &[("arrived", Arg::U(arrived as u64))],
+            ),
+            FlightEv::BarrierRelease { vm, thread, barrier, woken, .. } => instant(
+                w,
+                format_args!("release b{barrier}"),
+                thread_row(vm, thread),
+                topo.us(t),
+                &[("woken", Arg::U(woken as u64))],
+            ),
             // Cluster-layer fault events: host-wide, so they land on the
             // VMM row. `vm` in these is the cluster-wide id (carried in
             // args, not mapped to a local pid).
-            FlightEv::HostCrash { host } => {
-                out.push(instant(
-                    format!("host {host} CRASH"),
-                    0,
-                    TID_VMM_ROW,
-                    topo.us(t),
-                    Value::Null,
-                ));
-            }
-            FlightEv::HostDerate { host, pct } => {
-                out.push(instant(
-                    format!("host {host} derate {pct}%"),
-                    0,
-                    TID_VMM_ROW,
-                    topo.us(t),
-                    obj(vec![("pct", Value::U64(pct as u64))]),
-                ));
-            }
+            FlightEv::HostCrash { host } => instant(
+                w,
+                format_args!("host {host} CRASH"),
+                (0, TID_VMM_ROW),
+                topo.us(t),
+                &[],
+            ),
+            FlightEv::HostDerate { host, pct } => instant(
+                w,
+                format_args!("host {host} derate {pct}%"),
+                (0, TID_VMM_ROW),
+                topo.us(t),
+                &[("pct", Arg::U(pct as u64))],
+            ),
             // The migration lifecycle renders as causal duration spans:
             // each attempt's prepare opens a slice on the migration row,
             // closed by its commit (duration == injected pause) or abort
@@ -427,69 +463,59 @@ fn chrome_trace(events: &[FlightEvent], episodes: &[LhpEpisode], topo: &Topo, en
             }
             FlightEv::MigrateCommit { span: sp, vm, to, pause } => {
                 if let Some((t0, _, from, _, attempt, pages)) = mig_open.remove(&sp) {
-                    out.push(span(
-                        format!("migrate vm{vm} {from}->{to}"),
-                        0,
-                        TID_MIG_ROW,
+                    span(
+                        w,
+                        format_args!("migrate vm{vm} {from}->{to}"),
+                        (0, TID_MIG_ROW),
                         topo.us(t0),
                         topo.us(t.saturating_sub(t0)),
-                        obj(vec![
-                            ("span", Value::U64(sp as u64)),
-                            ("attempt", Value::U64(attempt as u64)),
-                            ("pages", Value::U64(pages)),
-                            ("pause_cycles", Value::U64(pause)),
-                        ]),
-                    ));
+                        &[
+                            ("span", Arg::U(sp as u64)),
+                            ("attempt", Arg::U(attempt as u64)),
+                            ("pages", Arg::U(pages)),
+                            ("pause_cycles", Arg::U(pause)),
+                        ],
+                    );
                 }
             }
             FlightEv::MigrateAbort { span: sp, vm, attempt } => {
                 if let Some((t0, _, from, to, _, pages)) = mig_open.remove(&sp) {
-                    out.push(span(
-                        format!("migrate ABORT vm{vm} {from}->{to} (attempt {attempt})"),
-                        0,
-                        TID_MIG_ROW,
+                    span(
+                        w,
+                        format_args!("migrate ABORT vm{vm} {from}->{to} (attempt {attempt})"),
+                        (0, TID_MIG_ROW),
                         topo.us(t0),
                         topo.us(t.saturating_sub(t0)),
-                        obj(vec![
-                            ("span", Value::U64(sp as u64)),
-                            ("attempt", Value::U64(attempt as u64)),
-                            ("pages", Value::U64(pages)),
-                        ]),
-                    ));
+                        &[
+                            ("span", Arg::U(sp as u64)),
+                            ("attempt", Arg::U(attempt as u64)),
+                            ("pages", Arg::U(pages)),
+                        ],
+                    );
                 } else {
-                    out.push(instant(
-                        format!("migration abort (attempt {attempt})"),
-                        0,
-                        TID_VMM_ROW,
+                    instant(
+                        w,
+                        format_args!("migration abort (attempt {attempt})"),
+                        (0, TID_VMM_ROW),
                         topo.us(t),
-                        obj(vec![
-                            ("span", Value::U64(sp as u64)),
-                            ("cluster_vm", Value::U64(vm as u64)),
-                        ]),
-                    ));
+                        &[("span", Arg::U(sp as u64)), ("cluster_vm", Arg::U(vm as u64))],
+                    );
                 }
             }
-            FlightEv::MigrateRetry { span: sp, vm, attempt } => {
-                out.push(instant(
-                    format!("migration retry (attempt {attempt})"),
-                    0,
-                    TID_MIG_ROW,
-                    topo.us(t),
-                    obj(vec![
-                        ("span", Value::U64(sp as u64)),
-                        ("cluster_vm", Value::U64(vm as u64)),
-                    ]),
-                ));
-            }
-            FlightEv::Evacuate { vm, from, to } => {
-                out.push(instant(
-                    format!("evacuate {from}->{to}"),
-                    0,
-                    TID_VMM_ROW,
-                    topo.us(t),
-                    obj(vec![("cluster_vm", Value::U64(vm as u64))]),
-                ));
-            }
+            FlightEv::MigrateRetry { span: sp, vm, attempt } => instant(
+                w,
+                format_args!("migration retry (attempt {attempt})"),
+                (0, TID_MIG_ROW),
+                topo.us(t),
+                &[("span", Arg::U(sp as u64)), ("cluster_vm", Arg::U(vm as u64))],
+            ),
+            FlightEv::Evacuate { vm, from, to } => instant(
+                w,
+                format_args!("evacuate {from}->{to}"),
+                (0, TID_VMM_ROW),
+                topo.us(t),
+                &[("cluster_vm", Arg::U(vm as u64))],
+            ),
         }
     }
 
@@ -497,35 +523,35 @@ fn chrome_trace(events: &[FlightEvent], episodes: &[LhpEpisode], topo: &Topo, en
     let mut open_runs: Vec<_> = running.into_iter().collect();
     open_runs.sort_by_key(|&(vcpu, _)| vcpu);
     for (vcpu, (t0, pcpu)) in open_runs {
-        close_run(&mut out, vcpu, t0, pcpu, end);
+        close_run(&mut w, vcpu, t0, pcpu, end);
     }
     let mut open_holds: Vec<_> = holding.into_iter().collect();
     open_holds.sort_by_key(|&(key, _)| key);
     for ((vm, thread, lock), t0) in open_holds {
-        out.push(span(
-            format!("hold L{lock} (open)"),
-            vm as u64 + 1,
-            thread as u64,
+        span(
+            &mut w,
+            format_args!("hold L{lock} (open)"),
+            thread_row(vm, thread),
             topo.us(t0),
             topo.us(end.saturating_sub(t0)),
-            Value::Null,
-        ));
+            &[],
+        );
     }
     let mut open_migs: Vec<_> = mig_open.into_iter().collect();
     open_migs.sort_by_key(|&(sp, _)| sp);
     for (sp, (t0, vm, from, to, attempt, pages)) in open_migs {
-        out.push(span(
-            format!("migrate vm{vm} {from}->{to} (open)"),
-            0,
-            TID_MIG_ROW,
+        span(
+            &mut w,
+            format_args!("migrate vm{vm} {from}->{to} (open)"),
+            (0, TID_MIG_ROW),
             topo.us(t0),
             topo.us(end.saturating_sub(t0)),
-            obj(vec![
-                ("span", Value::U64(sp as u64)),
-                ("attempt", Value::U64(attempt as u64)),
-                ("pages", Value::U64(pages)),
-            ]),
-        ));
+            &[
+                ("span", Arg::U(sp as u64)),
+                ("attempt", Arg::U(attempt as u64)),
+                ("pages", Arg::U(pages)),
+            ],
+        );
     }
 
     // LHP episode tracks: one process per VM with episodes, one row per
@@ -539,33 +565,33 @@ fn chrome_trace(events: &[FlightEvent], episodes: &[LhpEpisode], topo: &Topo, en
             .get(vm as usize)
             .map(String::as_str)
             .unwrap_or("?");
-        out.push(meta_name(
+        meta_name(
+            &mut w,
             "process_name",
             PID_LHP_BASE + vm as u64,
             None,
-            &format!("{name} LHP episodes"),
-        ));
+            format_args!("{name} LHP episodes"),
+        );
     }
     for ep in episodes {
-        out.push(span(
-            format!("LHP L{} holder t{}", ep.lock, ep.holder_thread),
-            PID_LHP_BASE + ep.vm as u64,
-            ep.lock as u64,
+        span(
+            &mut w,
+            format_args!("LHP L{} holder t{}", ep.lock, ep.holder_thread),
+            (PID_LHP_BASE + ep.vm as u64, ep.lock as u64),
             topo.us(ep.start),
             topo.us(ep.end.saturating_sub(ep.start)),
-            obj(vec![
-                ("holder_vcpu", Value::U64(ep.holder_vcpu as u64)),
-                ("preempted_for_us", Value::F64(topo.us(ep.preempted_for))),
-                ("wasted_spin_us", Value::F64(topo.us(ep.wasted_spin))),
-                ("waiters", Value::U64(ep.waiters as u64)),
-            ]),
-        ));
+            &[
+                ("holder_vcpu", Arg::U(ep.holder_vcpu as u64)),
+                ("preempted_for_us", Arg::F(topo.us(ep.preempted_for))),
+                ("wasted_spin_us", Arg::F(topo.us(ep.wasted_spin))),
+                ("waiters", Arg::U(ep.waiters as u64)),
+            ],
+        );
     }
 
-    obj(vec![
-        ("displayTimeUnit", Value::Str("ms".to_string())),
-        ("traceEvents", Value::Array(out)),
-    ])
+    w.end_array();
+    w.end_object();
+    w.into_bytes()
 }
 
 // -------------------------------------------------- migration cost table
@@ -728,10 +754,9 @@ pub fn capture(m: &mut Machine, sched: &'static str) -> TraceArtifacts {
         ));
     }
 
-    let chrome = chrome_trace(&events, &episodes, &topo, end);
     TraceArtifacts {
         sched,
-        chrome_json: serde_json::to_vec_pretty(&chrome).expect("serialize chrome trace"),
+        chrome_json: chrome_trace(&events, &episodes, &topo, end),
         lhp_json: serde_json::to_vec_pretty(&lhp).expect("serialize lhp summary"),
         metrics_json: serde_json::to_vec_pretty(&reg).expect("serialize metrics"),
         summary,
@@ -780,6 +805,7 @@ pub fn write_bundles(dir: &Path, bundles: &[TraceArtifacts]) -> io::Result<Vec<P
 mod tests {
     use super::*;
     use asman_sim::flight::VM_UNPATCHED;
+    use serde::Value;
 
     fn topo2() -> Topo {
         Topo {
@@ -789,6 +815,12 @@ mod tests {
             pcpus: 2,
             clock: Clock::default(),
         }
+    }
+
+    /// Render a Chrome trace and parse it back.
+    fn chrome_doc(evs: &[FlightEvent], eps: &[LhpEpisode], topo: &Topo, end: Cycles) -> Value {
+        let bytes = chrome_trace(evs, eps, topo, end);
+        serde_json::from_str(std::str::from_utf8(&bytes).expect("utf-8")).expect("valid JSON")
     }
 
     fn events_of(doc: &Value) -> &Vec<Value> {
@@ -834,7 +866,7 @@ mod tests {
             // Still running at end-of-window: closed at `end`.
             FlightEvent { t: t(6), ev: FlightEv::Dispatch { vcpu: 0, vm: 0, pcpu: 1 } },
         ];
-        let doc = chrome_trace(&evs, &[], &topo2(), t(10));
+        let doc = chrome_doc(&evs, &[], &topo2(), t(10));
         let events = events_of(&doc);
         let spans: Vec<&Value> = events
             .iter()
@@ -880,7 +912,7 @@ mod tests {
             wasted_spin: clk.us(300),
             waiters: 2,
         };
-        let doc = chrome_trace(&[], &[ep], &topo2(), clk.ms(3));
+        let doc = chrome_doc(&[], &[ep], &topo2(), clk.ms(3));
         let events = events_of(&doc);
         let lhp_span = events
             .iter()
@@ -1035,7 +1067,7 @@ mod tests {
                 },
             },
         ];
-        let doc = chrome_trace(&evs, &[], &topo2(), t(10));
+        let doc = chrome_doc(&evs, &[], &topo2(), t(10));
         let events = events_of(&doc);
         let slices: Vec<&Value> = events
             .iter()
@@ -1081,7 +1113,7 @@ mod tests {
             t: clk.ms(2),
             ev: FlightEv::MigratePrepare { span: 0, vm: 1, from: 1, to: 0, attempt: 1 },
         }];
-        let doc = chrome_trace(&evs, &[], &topo2(), clk.ms(4));
+        let doc = chrome_doc(&evs, &[], &topo2(), clk.ms(4));
         let open = events_of(&doc)
             .iter()
             .find(|e| *field(e, "name") == Value::Str("migrate vm1 1->0 (open)".into()))
@@ -1092,6 +1124,33 @@ mod tests {
         assert_eq!(table.len(), 1);
         assert!(!table[0].committed);
         assert_eq!(table[0].pause_cycles, 0);
+    }
+
+    /// Names are escaped as they are written: a VM name with a quote,
+    /// a backslash and a newline reads back exactly.
+    #[test]
+    fn chrome_trace_escapes_track_names() {
+        let clk = Clock::default();
+        let name = "a\"b\\c\n";
+        let mut topo = topo2();
+        topo.vm_names[0] = name.to_string();
+        let evs = vec![
+            FlightEvent { t: clk.ms(1), ev: FlightEv::Dispatch { vcpu: 1, vm: 0, pcpu: 0 } },
+            FlightEvent { t: clk.ms(2), ev: FlightEv::Preempt { vcpu: 1, vm: 0, pcpu: 0 } },
+        ];
+        let doc = chrome_doc(&evs, &[], &topo, clk.ms(3));
+        let events = events_of(&doc);
+        let process = events
+            .iter()
+            .find(|e| {
+                *field(e, "name") == Value::Str("process_name".into())
+                    && *field(e, "pid") == Value::U64(1)
+            })
+            .expect("VM process row");
+        assert_eq!(field(process, "args").get("name"), Some(&Value::Str(name.to_string())));
+        assert!(events
+            .iter()
+            .any(|e| *field(e, "name") == Value::Str(format!("{name}/v1"))));
     }
 
     #[test]
