@@ -382,7 +382,7 @@ impl GuestKernel {
         let s = &self.stats;
         h.write_u64(s.wait_hist.count());
         h.write_u64(s.sem_wait_hist.count());
-        h.write_usize(s.wait_trace.samples().len());
+        h.write_u64(s.wait_cycles.count());
         h.write_u64(s.spin_kernel_cycles.as_u64());
         h.write_u64(s.spin_barrier_cycles.as_u64());
         h.write_u64(s.spin_pipeline_cycles.as_u64());
@@ -861,7 +861,7 @@ impl GuestKernel {
     ) {
         self.locks[lock as usize].holder = Some(t);
         self.threads[t].held = Some(lock);
-        self.stats.record_wait(now, wait);
+        self.stats.record_wait(wait);
         if self.flight.wants(TraceCat::Lock) {
             self.flight.record(
                 now,
@@ -1529,11 +1529,8 @@ mod tests {
         // Wait time = 1000-100 + handoff.
         assert_eq!(g.stats().wait_hist.count(), 2);
         let expected_wait = 900 + costs().lock_handoff.as_u64();
-        assert_eq!(g.stats().wait_trace.samples().len(), 1);
-        assert_eq!(
-            g.stats().wait_trace.samples()[0].1.wait,
-            Cycles(expected_wait)
-        );
+        assert_eq!(g.stats().wait_cycles.count(), 1);
+        assert_eq!(g.stats().wait_cycles.max(), Some(expected_wait as f64));
         // Spin burn was charged.
         assert_eq!(g.stats().spin_kernel_cycles, Cycles(900));
     }
@@ -1835,9 +1832,9 @@ mod tests {
             }
         );
         // Its wait spans from the original attempt at t=100.
-        let waits = g.stats().wait_trace.samples();
-        assert_eq!(waits.len(), 1);
-        assert!(waits[0].1.wait >= Cycles(19_900));
+        let waits = &g.stats().wait_cycles;
+        assert_eq!(waits.count(), 1);
+        assert!(waits.min() >= Some(19_900.0));
     }
 
     /// vcpu_runnable reflects queued work.

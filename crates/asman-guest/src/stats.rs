@@ -1,20 +1,22 @@
 //! Per-VM measurement state.
 //!
 //! Mirrors the instrumentation of the paper's evaluation: spinlock
-//! waiting-time histograms and traces (Figures 1(b), 2, 8), throughput
-//! counters (SPECjbb bops), per-thread round completions (SPEC-rate and
-//! multi-VM batch rounds, §5.3), and cycle accounting that separates
-//! useful computation from synchronization waste.
+//! waiting-time histograms (Figures 1(b), 2, 8), throughput counters
+//! (SPECjbb bops), per-thread round completions (SPEC-rate and multi-VM
+//! batch rounds, §5.3), and cycle accounting that separates useful
+//! computation from synchronization waste. Individual waits for the
+//! scatter figures are not kept here: a windowed measurement arms the
+//! guest flight recorder's `lock` category for just its window.
 
-use asman_sim::{Cycles, Log2Histogram, QuantileHist, TraceBuffer};
-use serde::{Deserialize, Serialize};
+use asman_sim::{Cycles, Log2Histogram, QuantileHist};
 
-/// A single spinlock wait observation (for the scatter plots).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct WaitSample {
-    /// Waiting time in cycles.
-    pub wait: Cycles,
-}
+/// Waits at least this long feed [`GuestStats::wait_cycles`] (the paper
+/// collects spinlocks with waits > 2^10 cycles).
+pub const WAIT_FLOOR: Cycles = Cycles::pow2(10);
+
+/// Over-floor waits observed by [`GuestStats::wait_cycles`]; later ones
+/// are counted only by `wait_hist`.
+const WAIT_CYCLES_CAP: u64 = 200_000;
 
 /// Measurement state of one guest kernel.
 #[derive(Clone, Debug)]
@@ -24,11 +26,10 @@ pub struct GuestStats {
     /// Histogram of semaphore waiting times (§2.2 measures these too and
     /// finds them unaffected by virtualization).
     pub sem_wait_hist: Log2Histogram,
-    /// Trace of individual waits above the collection floor.
-    pub wait_trace: TraceBuffer<WaitSample>,
-    /// Waits are only traced if at least this large (the paper collects
-    /// spinlocks with waits > 2^10 cycles).
-    pub trace_floor: Cycles,
+    /// Online quantiles of the first 200,000 waits of at least
+    /// [`WAIT_FLOOR`] cycles, in record order (exported as
+    /// `vmN.guest.wait_cycles`).
+    pub wait_cycles: QuantileHist,
     /// Cycles burned busy-waiting on kernel spinlocks.
     pub spin_kernel_cycles: Cycles,
     /// Cycles burned in user-space barrier spinning.
@@ -72,8 +73,7 @@ impl GuestStats {
         GuestStats {
             wait_hist: Log2Histogram::new(),
             sem_wait_hist: Log2Histogram::new(),
-            wait_trace: TraceBuffer::new(200_000),
-            trace_floor: Cycles::pow2(10),
+            wait_cycles: QuantileHist::default(),
             spin_kernel_cycles: Cycles::ZERO,
             spin_barrier_cycles: Cycles::ZERO,
             spin_pipeline_cycles: Cycles::ZERO,
@@ -104,12 +104,12 @@ impl GuestStats {
         }
     }
 
-    /// Record a spinlock wait observation at time `now`.
-    pub fn record_wait(&mut self, now: Cycles, wait: Cycles) {
+    /// Record a spinlock wait observation.
+    pub fn record_wait(&mut self, wait: Cycles) {
         self.lock_acquisitions += 1;
         self.wait_hist.record(wait);
-        if wait >= self.trace_floor {
-            self.wait_trace.record(now, WaitSample { wait });
+        if wait >= WAIT_FLOOR && self.wait_cycles.count() < WAIT_CYCLES_CAP {
+            self.wait_cycles.observe(wait.as_u64() as f64);
         }
     }
 
@@ -163,14 +163,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wait_recording_traces_only_above_floor() {
+    fn wait_cycles_observes_only_above_floor() {
         let mut s = GuestStats::new(1);
-        s.record_wait(Cycles(10), Cycles(100)); // below 2^10
-        s.record_wait(Cycles(20), Cycles(5_000)); // above
+        s.record_wait(Cycles(100)); // below 2^10
+        s.record_wait(Cycles(5_000)); // above
         assert_eq!(s.lock_acquisitions, 2);
         assert_eq!(s.wait_hist.count(), 2);
-        assert_eq!(s.wait_trace.samples().len(), 1);
-        assert_eq!(s.wait_trace.samples()[0].1.wait, Cycles(5_000));
+        assert_eq!(s.wait_cycles.count(), 1);
+        assert_eq!(s.wait_cycles.max(), Some(5_000.0));
+    }
+
+    /// The state fingerprint folds `wait_cycles.count()`, so the cap is
+    /// part of the pinned state: the histogram stops at it while
+    /// `wait_hist` keeps counting.
+    #[test]
+    fn wait_cycles_stops_at_its_cap() {
+        let mut s = GuestStats::new(1);
+        let n = WAIT_CYCLES_CAP + 5;
+        for i in 0..n {
+            s.record_wait(WAIT_FLOOR + Cycles(i));
+        }
+        assert_eq!(s.wait_cycles.count(), WAIT_CYCLES_CAP);
+        assert_eq!(
+            s.wait_cycles.max(),
+            Some((WAIT_FLOOR.as_u64() + WAIT_CYCLES_CAP - 1) as f64)
+        );
+        assert_eq!(s.wait_hist.count(), n);
+        assert_eq!(s.over_threshold_count(10), n);
     }
 
     #[test]
@@ -198,8 +217,8 @@ mod tests {
     #[test]
     fn over_threshold_counts_from_histogram() {
         let mut s = GuestStats::new(1);
-        s.record_wait(Cycles(1), Cycles(1 << 21));
-        s.record_wait(Cycles(2), Cycles(1 << 19));
+        s.record_wait(Cycles(1 << 21));
+        s.record_wait(Cycles(1 << 19));
         assert_eq!(s.over_threshold_count(20), 1);
         assert_eq!(s.over_threshold_count(19), 2);
     }

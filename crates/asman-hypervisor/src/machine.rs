@@ -909,13 +909,8 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
                 &format!("{p}.guest.spin_kernel_cycles"),
                 stats.spin_kernel_cycles.as_u64(),
             );
-            let waits = stats.wait_trace.samples();
-            if !waits.is_empty() {
-                let mut hist = QuantileHist::default();
-                for &(_, sample) in waits {
-                    hist.observe(sample.wait.as_u64() as f64);
-                }
-                reg.set_hist(&format!("{p}.guest.wait_cycles"), hist);
+            if stats.wait_cycles.count() > 0 {
+                reg.set_hist(&format!("{p}.guest.wait_cycles"), stats.wait_cycles.clone());
             }
             if let Some(episodes) = stats.spin_episodes() {
                 reg.set_hist(&format!("{p}.guest.spin_episode_cycles"), episodes.clone());

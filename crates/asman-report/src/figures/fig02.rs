@@ -60,10 +60,11 @@ pub fn collect(sched: Sched, params: &FigureParams) -> Scatter {
         let lu = NasSpec::new(NasBenchmark::LU, params.class, 4).build(params.seed ^ 7);
         let mut m = sc.build(Box::new(lu));
         let win = WaitWindow::collect(&mut m, 1, clk.ms(500), clk.secs(window_secs));
+        let waits: Vec<u64> = win.samples.into_iter().map(|(_, w)| w).collect();
         ScatterPanel {
             rate_pct: pct,
-            band_counts: bands(&win.samples),
-            waits: win.samples,
+            band_counts: bands(&waits),
+            waits,
         }
     });
     Scatter {

@@ -3,12 +3,17 @@
 //! The paper's Figures 1(b), 2 and 8 observe spinlock waits over a fixed
 //! 30-second period while the benchmark runs. [`WaitWindow`] reproduces
 //! that: it advances a machine to the window start, snapshots the wait
-//! histogram, enables the per-wait trace, runs the window, and reports
-//! the in-window population.
+//! histogram, arms the guest flight recorder's `lock` category for the
+//! window, and reports the in-window population.
 
+use asman_guest::stats::WAIT_FLOOR;
 use asman_hypervisor::Machine;
-use asman_sim::{Cycles, Log2Histogram};
+use asman_sim::{CatMask, Cycles, FlightEv, FlightRecorder, Log2Histogram, TraceCat};
 use serde::{Deserialize, Serialize};
+
+/// Simulated time between drains of the window's recorder, which keeps
+/// every acquisition (short waits too) until it is drained.
+const DRAIN_EVERY_MS: u64 = 100;
 
 /// Spinlock-wait observations collected over one time window.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -25,36 +30,41 @@ pub struct WaitWindow {
     pub over_2_20: u64,
     /// In-window waits ≥ 2^25 cycles.
     pub over_2_25: u64,
-    /// Individual wait samples ≥ 2^10 cycles, in observation order (the
-    /// scatter series of Figures 2 and 8), as `log2`-style raw cycles.
-    pub samples: Vec<u64>,
+    /// `(time, wait in cycles)` of each in-window wait ≥ 2^10 cycles, in
+    /// observation order (the scatter series of Figures 2 and 8).
+    pub samples: Vec<(Cycles, u64)>,
 }
 
 impl WaitWindow {
     /// Run `machine` and collect the wait behaviour of VM `vm` during
     /// `[start, start + length]`.
+    ///
+    /// The window swaps in a guest flight recorder armed for `lock` only
+    /// and with no capacity limit, drains it every 100 simulated ms, and
+    /// puts back the recorder it found. Slicing the run this way leaves
+    /// the simulation unchanged (`tests/determinism.rs` pins that).
     pub fn collect(machine: &mut Machine, vm: usize, start: Cycles, length: Cycles) -> Self {
         let clk = machine.config().clock;
-        // Disable tracing while reaching the window start.
-        machine
-            .vm_kernel_mut(vm)
-            .stats_mut()
-            .wait_trace
-            .set_enabled(false);
         machine.run_until(start);
         let before: Log2Histogram = machine.vm_kernel(vm).stats().wait_hist.clone();
         let locks_before = machine.vm_kernel(vm).stats().lock_acquisitions;
-        {
-            let tr = &mut machine.vm_kernel_mut(vm).stats_mut().wait_trace;
-            tr.clear();
-            tr.set_enabled(true);
+        let window = FlightRecorder::new(CatMask::only(TraceCat::Lock), usize::MAX);
+        let found = std::mem::replace(machine.vm_kernel_mut(vm).flight_mut(), window);
+        let end = start + length;
+        let mut samples = Vec::new();
+        let mut t = start;
+        while t < end {
+            t = (t + clk.ms(DRAIN_EVERY_MS)).min(end);
+            machine.run_until(t);
+            for e in machine.vm_kernel_mut(vm).flight_mut().drain_events() {
+                if let FlightEv::LockAcquire { wait, .. } = e.ev {
+                    if wait >= WAIT_FLOOR.as_u64() {
+                        samples.push((e.t, wait));
+                    }
+                }
+            }
         }
-        machine.run_until(start + length);
-        machine
-            .vm_kernel_mut(vm)
-            .stats_mut()
-            .wait_trace
-            .set_enabled(false);
+        *machine.vm_kernel_mut(vm).flight_mut() = found;
         let stats = machine.vm_kernel(vm).stats();
         let after = &stats.wait_hist;
         let cum = |h: &Log2Histogram, e: u32| h.count_at_least_pow2(e);
@@ -65,12 +75,7 @@ impl WaitWindow {
             over_2_10: cum(after, 10) - cum(&before, 10),
             over_2_20: cum(after, 20) - cum(&before, 20),
             over_2_25: cum(after, 25) - cum(&before, 25),
-            samples: stats
-                .wait_trace
-                .samples()
-                .iter()
-                .map(|(_, s)| s.wait.as_u64())
-                .collect(),
+            samples,
         }
     }
 }
@@ -93,7 +98,10 @@ mod tests {
         assert_eq!(w.samples.len() as u64, w.over_2_10);
         assert!(w.over_2_20 <= w.over_2_10);
         assert!(w.over_2_25 <= w.over_2_20);
-        // Every retained sample is above the collection floor.
-        assert!(w.samples.iter().all(|&s| s >= 1 << 10));
+        // Every retained sample is above the collection floor, in time
+        // order inside the window.
+        assert!(w.samples.iter().all(|&(_, s)| s >= 1 << 10));
+        assert!(w.samples.windows(2).all(|p| p[0].0 <= p[1].0));
+        assert!(w.samples.iter().all(|&(t, _)| t >= clk.ms(500)));
     }
 }

@@ -18,8 +18,8 @@
 //! * [`stats`] — log₂ histograms (the paper reports spinlock waits in
 //!   powers-of-two cycle buckets) and online mean/variance.
 //! * [`quantile`] — streaming percentile estimation (P² algorithm).
-//! * [`trace`] — bounded trace recorder for per-event series such as the
-//!   spinlock wait scatter plots of Figures 2 and 8.
+//! * [`trace`] — the once-per-buffer overflow warning shared by the
+//!   flight recorder and the series sampler.
 //! * [`flight`] — the cross-layer flight recorder: typed scheduler/guest
 //!   events in per-category bounded buffers with drop accounting.
 //! * [`lhp`] — lock-holder-preemption episode detection over merged
@@ -75,4 +75,3 @@ pub use telemetry::{
     detect_anomalies, sparkline, Anomaly, EpochSample, HostMetric, HostSample, SeriesSampler,
 };
 pub use time::{Clock, Cycles};
-pub use trace::TraceBuffer;

@@ -1,9 +1,9 @@
 //! Streaming quantile estimation (the P² algorithm).
 //!
 //! Jain & Chlamtac's P² estimator maintains a target quantile of a
-//! stream in O(1) space — used for wait-time percentiles where keeping
-//! every sample (as [`crate::TraceBuffer`] does for the scatter figures)
-//! would be wasteful.
+//! stream in O(1) space — used for wait-time percentiles (the guest's
+//! online `wait_cycles` histogram), where keeping every sample would be
+//! wasteful.
 
 use serde::{Deserialize, Serialize};
 

@@ -1,23 +1,18 @@
-//! Bounded trace recording.
+//! Overflow warnings for bounded recorders.
 //!
-//! Figures 2 and 8 of the paper are scatter plots of individual spinlock
-//! waiting times over a fixed observation window. [`TraceBuffer`] records
-//! timestamped samples up to a configurable cap (so pathological runs
-//! cannot exhaust memory) while still counting everything it saw.
+//! The flight recorder and the series sampler keep at most a fixed
+//! number of entries and count what they drop; the first drop prints
+//! one warning through [`overflow_warning`] so truncation is never
+//! silent. Quiet modes (e.g. `repro -q`) and tests that overflow a
+//! buffer on purpose turn the warnings off.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use serde::{Deserialize, Serialize};
-
-use crate::time::Cycles;
-
-/// Global gate for buffer-overflow warnings. Defaults to on; quiet modes
-/// (e.g. `repro -q`) and tests that overflow buffers on purpose turn it
-/// off.
+/// Global gate for buffer-overflow warnings. Defaults to on.
 static WARN_ON_OVERFLOW: AtomicBool = AtomicBool::new(true);
 
 /// Enable or disable the once-per-buffer overflow warnings emitted by
-/// [`TraceBuffer`] and the flight recorder.
+/// the flight recorder and the series sampler.
 pub fn set_overflow_warnings(on: bool) {
     WARN_ON_OVERFLOW.store(on, Ordering::Relaxed);
 }
@@ -28,158 +23,5 @@ pub fn set_overflow_warnings(on: bool) {
 pub fn overflow_warning(msg: &str) {
     if WARN_ON_OVERFLOW.load(Ordering::Relaxed) {
         eprintln!("warning: {msg}");
-    }
-}
-
-/// A timestamped sample stream with a hard capacity limit.
-///
-/// Once `capacity` samples have been stored, further samples are counted
-/// (`total_seen` keeps increasing) but not retained; `dropped()` reports how
-/// many were discarded so analyses can detect truncation, and the first
-/// drop emits a warning (gated by [`set_overflow_warnings`]) so truncation
-/// is never silent.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct TraceBuffer<T> {
-    samples: Vec<(Cycles, T)>,
-    capacity: usize,
-    total_seen: u64,
-    enabled: bool,
-    warned: bool,
-}
-
-impl<T> TraceBuffer<T> {
-    /// A trace that retains at most `capacity` samples.
-    pub fn new(capacity: usize) -> Self {
-        TraceBuffer {
-            samples: Vec::new(),
-            capacity,
-            total_seen: 0,
-            enabled: true,
-            warned: false,
-        }
-    }
-
-    /// A disabled trace: records nothing, counts nothing. Useful as the
-    /// default when an experiment does not need scatter data.
-    pub fn disabled() -> Self {
-        TraceBuffer {
-            samples: Vec::new(),
-            capacity: 0,
-            total_seen: 0,
-            enabled: false,
-            warned: false,
-        }
-    }
-
-    /// Enable or disable recording (e.g. to restrict the capture to the
-    /// paper's 30-second observation window).
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
-    /// Whether recording is currently enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Record a sample at time `t`.
-    pub fn record(&mut self, t: Cycles, sample: T) {
-        if !self.enabled {
-            return;
-        }
-        self.total_seen += 1;
-        if self.samples.len() < self.capacity {
-            self.samples.push((t, sample));
-        } else if !self.warned {
-            self.warned = true;
-            overflow_warning(&format!(
-                "trace buffer reached its capacity of {} samples; \
-                 further samples are counted but not retained",
-                self.capacity
-            ));
-        }
-    }
-
-    /// Retained samples in record order.
-    pub fn samples(&self) -> &[(Cycles, T)] {
-        &self.samples
-    }
-
-    /// Total samples offered while enabled (retained + dropped).
-    pub fn total_seen(&self) -> u64 {
-        self.total_seen
-    }
-
-    /// Samples that were offered but not retained due to the capacity cap.
-    pub fn dropped(&self) -> u64 {
-        self.total_seen - self.samples.len() as u64
-    }
-
-    /// Whether the buffer has overflowed (dropped at least one sample).
-    pub fn overflowed(&self) -> bool {
-        self.dropped() > 0
-    }
-
-    /// Discard retained samples and reset counters (capacity and enablement
-    /// are preserved).
-    pub fn clear(&mut self) {
-        self.samples.clear();
-        self.total_seen = 0;
-        self.warned = false;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn records_until_capacity_then_counts() {
-        set_overflow_warnings(false);
-        let mut t = TraceBuffer::new(3);
-        assert!(!t.overflowed());
-        for i in 0..5u64 {
-            t.record(Cycles(i), i * 10);
-        }
-        assert_eq!(t.samples().len(), 3);
-        assert_eq!(t.total_seen(), 5);
-        assert_eq!(t.dropped(), 2);
-        assert!(t.overflowed());
-        assert_eq!(t.samples()[2], (Cycles(2), 20));
-        set_overflow_warnings(true);
-    }
-
-    #[test]
-    fn disabled_records_nothing() {
-        let mut t = TraceBuffer::disabled();
-        t.record(Cycles(1), 1);
-        assert_eq!(t.total_seen(), 0);
-        assert!(t.samples().is_empty());
-        assert!(!t.is_enabled());
-    }
-
-    #[test]
-    fn toggling_enablement_gates_recording() {
-        let mut t = TraceBuffer::new(10);
-        t.set_enabled(false);
-        t.record(Cycles(1), 'a');
-        t.set_enabled(true);
-        t.record(Cycles(2), 'b');
-        assert_eq!(t.total_seen(), 1);
-        assert_eq!(t.samples(), &[(Cycles(2), 'b')]);
-    }
-
-    #[test]
-    fn clear_resets_but_keeps_capacity() {
-        set_overflow_warnings(false);
-        let mut t = TraceBuffer::new(1);
-        t.record(Cycles(1), ());
-        t.record(Cycles(2), ());
-        t.clear();
-        assert_eq!(t.total_seen(), 0);
-        assert!(!t.overflowed());
-        t.record(Cycles(3), ());
-        assert_eq!(t.samples().len(), 1);
-        set_overflow_warnings(true);
     }
 }

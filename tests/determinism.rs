@@ -2,6 +2,7 @@
 //! configuration and seed.
 
 use asman::prelude::*;
+use asman::report::{Sched, SingleVmScenario};
 
 fn fingerprint(seed: u64, policy: Policy) -> (u64, u64, u64, u64) {
     let lu = NasSpec::new(NasBenchmark::LU, ProblemClass::S, 4).build(seed ^ 7);
@@ -66,4 +67,41 @@ fn repeated_construction_is_stable_across_policies() {
             "{policy:?} must be reproducible"
         );
     }
+}
+
+/// `run_until` is a pure advance: cutting one run into many short calls
+/// leaves the simulation unchanged. `WaitWindow` relies on this when it
+/// drains its recorder between slices.
+///
+/// `state_fingerprint` is deliberately left out. It folds
+/// `vcrd_high_since`, which every `run_until` return restamps while VCRD
+/// is HIGH and which stays folded after VCRD drops to LOW, so the
+/// fingerprint moves with the split points although the run does not.
+#[test]
+fn run_until_slices_leave_the_run_unchanged() {
+    let clk = Clock::default();
+    let build = || {
+        let lu = NasSpec::new(NasBenchmark::LU, ProblemClass::S, 4).build(7);
+        SingleVmScenario::new(Sched::Asman, 128, 42).build(Box::new(lu))
+    };
+    let summary = |m: &Machine| {
+        let vms: Vec<_> = (0..m.vm_count())
+            .map(|vm| {
+                let s = m.vm_kernel(vm).stats();
+                (m.vm_counters(vm), s.lock_acquisitions, s.wait_hist.count())
+            })
+            .collect();
+        (m.events_processed(), vms)
+    };
+    let end = clk.ms(2_500);
+    let mut whole = build();
+    whole.run_until(end);
+    let mut sliced = build();
+    let mut t = Cycles::ZERO;
+    while t < end {
+        t = (t + clk.ms(7)).min(end);
+        sliced.run_until(t);
+    }
+    assert!(whole.vm_kernel(1).stats().lock_acquisitions > 0);
+    assert_eq!(summary(&whole), summary(&sliced));
 }

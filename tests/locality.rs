@@ -14,7 +14,6 @@ fn over_threshold_events_cluster_into_localities() {
     let lu = NasSpec::new(NasBenchmark::LU, ProblemClass::W, 4).build(7);
     let mut m = sc.build(Box::new(lu));
     // Collect timestamps of over-threshold waits in a 10 s window.
-    m.vm_kernel_mut(1).stats_mut().trace_floor = Cycles::pow2(20);
     let w = WaitWindow::collect(&mut m, 1, clk.ms(500), clk.secs(10));
     assert!(
         w.over_2_20 >= 10,
@@ -22,10 +21,11 @@ fn over_threshold_events_cluster_into_localities() {
         w.over_2_20
     );
     // Reconstruct localities with a merge gap of two scheduling slots.
-    let trace = m.vm_kernel(1).stats().wait_trace.samples().to_vec();
     let mut seg = LocalitySegmenter::new(clk.ms(20));
-    for (t, _) in &trace {
-        seg.push(*t);
+    for &(t, wait) in &w.samples {
+        if wait >= Cycles::pow2(20).as_u64() {
+            seg.push(t);
+        }
     }
     let locs = seg.finish();
     assert!(!locs.is_empty());
