@@ -15,12 +15,18 @@
 //! * **Worker-count independence** — a churned (and faulted) run's
 //!   full serialized report is byte-identical between `--jobs 1` and
 //!   `--jobs 4`, the same determinism contract the clean runs pin.
+//! * **A total DSL parser** — `ChurnSpec::parse` never panics, accepts
+//!   only plans in nondecreasing epoch order, and reads back any plan
+//!   written in the DSL.
 
 use asman_cluster::{
+    churn::ChurnEvent,
     scenario::{self, ConsolidationSpec},
-    ChurnPlan, Cluster, ClusterConfig, ClusterReport, Policy,
+    ChurnKind, ChurnPlan, ChurnSpec, Cluster, ClusterConfig, ClusterReport, Policy, ShapeKind,
+    VmShape,
 };
 use asman_sim::FaultPlan;
+use proptest::collection::vec;
 use proptest::prelude::*;
 
 const EPOCHS: u64 = 12;
@@ -132,5 +138,155 @@ proptest! {
                 "faulted={} run must not depend on worker count", faulted
             );
         }
+    }
+}
+
+/// Render `picks` as a string: an index into `alphabet` appends that
+/// piece, any larger index appends the char `c` (U+FFFD where `c` is a
+/// surrogate). The vendored proptest has no string strategy.
+fn dsl_string(alphabet: &[&str], picks: &[(usize, u32)]) -> String {
+    let mut s = String::new();
+    for &(i, c) in picks {
+        match alphabet.get(i) {
+            Some(piece) => s.push_str(piece),
+            None => s.push(char::from_u32(c).unwrap_or('\u{fffd}')),
+        }
+    }
+    s
+}
+
+/// Pieces of the churn DSL, plus near misses: a zero count, an
+/// out-of-range rate, a number that overflows `u64`, a stray letter.
+const CHURN_ALPHABET: &[&str] = &[
+    "arrive@",
+    "depart@",
+    "rand:",
+    "churn:",
+    "gang",
+    "bg",
+    ":h",
+    ":v",
+    ":w",
+    ":",
+    "@",
+    ",",
+    " ",
+    "0",
+    "2",
+    "7",
+    "256",
+    "101",
+    "x",
+    "99999999999999999999",
+];
+
+fn churn_event() -> impl Strategy<Value = ChurnEvent> {
+    prop_oneof![
+        (0u64..40, any::<bool>(), 1usize..9, 1u32..1024).prop_map(
+            |(epoch, gang, vcpus, weight)| {
+                ChurnEvent {
+                    epoch,
+                    kind: ChurnKind::Arrive {
+                        shape: VmShape {
+                            kind: if gang {
+                                ShapeKind::Gang
+                            } else {
+                                ShapeKind::Background
+                            },
+                            vcpus,
+                            weight,
+                        },
+                    },
+                }
+            }
+        ),
+        (0u64..40, 0usize..16, 0usize..8).prop_map(|(epoch, host, slot)| ChurnEvent {
+            epoch,
+            kind: ChurnKind::Depart { host, slot }
+        }),
+    ]
+}
+
+/// `ev` written as one DSL token; the default weight is left out when
+/// `short` is set.
+fn churn_token(ev: &ChurnEvent, short: bool) -> String {
+    match ev.kind {
+        ChurnKind::Arrive { shape } => {
+            let mut tok = format!("arrive@{}:{}{}", ev.epoch, shape.kind.prefix(), shape.vcpus);
+            if !(short && shape.weight == 256) {
+                tok.push_str(&format!(":w{}", shape.weight));
+            }
+            tok
+        }
+        ChurnKind::Depart { host, slot } => format!("depart@{}:h{host}:v{slot}", ev.epoch),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `ChurnSpec::parse` never panics, and every plan it accepts (or
+    /// generates from an accepted seed and rate) has nondecreasing
+    /// epochs. The input joins well-formed tokens and junk strings with
+    /// commas, so a fair share of cases is accepted.
+    #[test]
+    fn churn_spec_parse_never_panics(
+        segments in vec(
+            (
+                churn_event(),
+                0u8..3,
+                vec((0..CHURN_ALPHABET.len() + 2, 0u32..0x11_0000), 0..8),
+            ),
+            0..6,
+        ),
+    ) {
+        let s = segments
+            .iter()
+            .map(|(ev, form, picks)| match form {
+                0 => dsl_string(CHURN_ALPHABET, picks),
+                _ => churn_token(ev, *form == 1),
+            })
+            .collect::<Vec<_>>()
+            .join(",");
+        let plan = match ChurnSpec::parse(&s) {
+            Ok(ChurnSpec::Explicit(plan)) => {
+                prop_assert!(!plan.is_empty(), "accepted an empty plan from {s:?}");
+                plan
+            }
+            Ok(spec) => spec.resolve(40, 4),
+            Err(_) => return,
+        };
+        prop_assert!(
+            plan.events.windows(2).all(|w| w[0].epoch <= w[1].epoch),
+            "epochs out of order for {s:?}: {:?}", plan.events
+        );
+    }
+
+    /// Random events written as DSL tokens (with stray spaces around
+    /// them, the default weight sometimes left out) parse back to the
+    /// same events, in stable epoch order.
+    #[test]
+    fn churn_dsl_round_trips(
+        events in vec(churn_event(), 1..12),
+        pads in vec((0usize..3, 0usize..3, any::<bool>()), 12),
+    ) {
+        let s = events
+            .iter()
+            .zip(&pads)
+            .map(|(ev, &(l, r, short))| {
+                format!("{}{}{}", " ".repeat(l), churn_token(ev, short), " ".repeat(r))
+            })
+            .collect::<Vec<_>>()
+            .join(",");
+        // Stable epoch order, built without sorting.
+        let mut want = Vec::new();
+        for t in 0..=events.iter().map(|e| e.epoch).max().unwrap_or(0) {
+            want.extend(events.iter().filter(|e| e.epoch == t));
+        }
+        prop_assert_eq!(
+            ChurnSpec::parse(&s),
+            Ok(ChurnSpec::Explicit(ChurnPlan { events: want })),
+            "{}", s
+        );
     }
 }

@@ -186,9 +186,9 @@ pub struct VmRetirement {
 }
 
 #[derive(Clone, Copy, Debug)]
-/// Event payload of the machine's calendar queue. Entity indices are
+/// Event payload of the machine's event queue. Entity indices are
 /// `u32` so the whole enum packs into 16 bytes — the event queue moves
-/// these on every sift, and the simulation never has 4 billion VCPUs.
+/// these on every insert, and the simulation never has 4 billion VCPUs.
 ///
 /// Public so the machine can be instantiated over any
 /// [`SimQueue`]`<Ev>` implementation (see [`OracleMachine`]); the
@@ -278,8 +278,11 @@ pub struct Machine<Q: SimQueue<Ev> = EventQueue<Ev>> {
     /// Scratch for `assign_credit` (avoids a per-VM allocation every
     /// 30 ms accounting interval).
     scratch_actives: Vec<u64>,
-    /// Reusable guest-effects buffer for the hot event handlers.
-    scratch_fx: Effects,
+    /// Reusable guest-effects buffer for the hot event handlers, boxed
+    /// so that taking it and putting it back moves one pointer. A take
+    /// that finds the slot empty (the first, or one nested inside an
+    /// effects pass) gets a fresh buffer.
+    scratch_fx: Option<Box<Effects>>,
     /// Scratch for `relocate_siblings` (avoids an allocation per IPI
     /// burst).
     scratch_occupied: Vec<bool>,
@@ -511,7 +514,7 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
             idle_mask,
             queued_mask,
             scratch_actives: Vec::new(),
-            scratch_fx: Effects::default(),
+            scratch_fx: None,
             scratch_occupied: Vec::new(),
             adopted_streams: Vec::new(),
             derate_pct: 0,
@@ -741,8 +744,8 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
     ///   assignment and burn;
     /// * the structural invariants of [`Machine::check_invariants`]
     ///   (runqueue position index, idle/queued masks, state agreement);
-    /// * the event queue's own internal invariants (heap property,
-    ///   lifetime counters).
+    /// * the event queue's own internal invariants (strict `(time, seq)`
+    ///   order, lifetime counters).
     #[cfg(feature = "audit")]
     fn audit_checkpoint(&mut self) {
         assert!(
@@ -1581,11 +1584,11 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
                 }
                 let vm = self.vcpus[vcpu].vm;
                 let slot = self.vcpus[vcpu].slot;
-                let mut fx = std::mem::take(&mut self.scratch_fx);
+                let mut fx = self.scratch_fx.take().unwrap_or_default();
                 let work = self.vms[vm].kernel.work_complete(slot, self.now, &mut fx);
                 let still_running = self.install_work(vcpu, work);
                 self.apply_effects(vm, &mut fx);
-                self.scratch_fx = fx;
+                self.scratch_fx = Some(fx);
                 if still_running
                     && matches!(
                         self.cfg.policy,
@@ -1611,10 +1614,10 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
                     // injection time.
                     return;
                 }
-                let mut fx = std::mem::take(&mut self.scratch_fx);
+                let mut fx = self.scratch_fx.take().unwrap_or_default();
                 self.vms[vm].kernel.sleep_timer(thread, self.now, &mut fx);
                 self.apply_effects(vm, &mut fx);
-                self.scratch_fx = fx;
+                self.scratch_fx = Some(fx);
             }
             Ev::VcrdTimer { vm, epoch } => {
                 let vm = vm as usize;
@@ -1633,10 +1636,10 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
                     );
                     return;
                 }
-                let mut fx = std::mem::take(&mut self.scratch_fx);
+                let mut fx = self.scratch_fx.take().unwrap_or_default();
                 self.vms[vm].kernel.vcrd_timer(self.now, &mut fx);
                 self.apply_effects(vm, &mut fx);
-                self.scratch_fx = fx;
+                self.scratch_fx = Some(fx);
             }
             Ev::Ipi { vcpu } => {
                 let vcpu = vcpu as usize;
@@ -2111,13 +2114,13 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
         } else {
             Cycles::ZERO
         };
-        let mut fx = std::mem::take(&mut self.scratch_fx);
+        let mut fx = self.scratch_fx.take().unwrap_or_default();
         let work = self.vms[vm]
             .kernel
             .dispatch(slot, self.now, warmup, &mut fx);
         let still_running = self.install_work(vcpu, work);
         self.apply_effects(vm, &mut fx);
-        self.scratch_fx = fx;
+        self.scratch_fx = Some(fx);
         if still_running && self.cosched_active(vm) {
             self.maybe_cosched(vm);
         }

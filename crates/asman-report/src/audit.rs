@@ -3,7 +3,7 @@
 //! Every cell of the audit grid builds **two** machines from identical
 //! configuration and workload specs — one on the optimized
 //! [`EventQueue`](asman_sim::EventQueue)-backed engine with all its
-//! caches (packed-key heap, runqueue position index, idle/queued
+//! caches (sorted event array, runqueue position index, idle/queued
 //! bitmasks, scratch buffers), and one on the naive
 //! [`OracleMachine`] whose [`OracleQueue`](asman_sim::OracleQueue)
 //! linear-scans an unsorted vector and whose scheduler recomputes every

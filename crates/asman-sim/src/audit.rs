@@ -1,7 +1,7 @@
 //! Naive oracle structures for differential auditing.
 //!
 //! The optimized engine earns its throughput with caches and clever
-//! layouts: a packed-key 4-ary heap with an insertion buffer, a
+//! layouts: an event array kept sorted so the next event is its tail, a
 //! runqueue-position index, idle-PCPU bitmasks, reused scratch buffers.
 //! Every one of those is a place where bookkeeping can silently drift
 //! from the Credit/ASMan semantics the paper's figures depend on. The
@@ -124,9 +124,9 @@ impl<T> SimQueue<T> for EventQueue<T> {
 }
 
 /// The oracle event queue: an unsorted vector scanned linearly on every
-/// pop. No heap, no insertion buffer, no incremental anything — `pop`
-/// is O(n) and proud of it. Because `(time, seq)` keys are unique, it
-/// pops in exactly the order the optimized queue must.
+/// pop. No kept order, no incremental anything — `pop` is O(n) and
+/// proud of it. Because `(time, seq)` keys are unique, it pops in
+/// exactly the order the optimized queue must.
 pub struct OracleQueue<T> {
     /// Pending events as packed `(time << 64 | seq)` keys, in insertion
     /// order. Deliberately unsorted.

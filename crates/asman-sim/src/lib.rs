@@ -13,7 +13,8 @@
 //! * [`time`] — the [`Cycles`] clock domain (CPU cycles at a
 //!   configurable frequency, default 2.33 GHz to match the paper's Xeon
 //!   X5410 testbed).
-//! * [`event`] — a deterministic calendar queue ([`EventQueue`]).
+//! * [`event`] — the deterministic event queue ([`EventQueue`]): one
+//!   array sorted descending by `(time, seq)`, popped from the tail.
 //! * [`rng`] — xoshiro256\*\* PRNG with distribution helpers.
 //! * [`stats`] — log₂ histograms (the paper reports spinlock waits in
 //!   powers-of-two cycle buckets) and online mean/variance.

@@ -1,6 +1,10 @@
 //! Property-based tests for the simulation substrate.
 
-use asman_sim::{Cycles, EventQueue, Log2Histogram, OnlineStats, SimRng};
+use asman_sim::{
+    CatMask, Cycles, EventQueue, FaultEvent, FaultKind, FaultPlan, FaultSpec, Log2Histogram,
+    OnlineStats, SimRng, TraceCat,
+};
+use proptest::collection::vec;
 use proptest::prelude::*;
 
 proptest! {
@@ -140,6 +144,195 @@ proptest! {
                 "weighted_index picked unusable weight {} at {i} from {weights:?}",
                 weights[i]
             );
+        }
+    }
+}
+
+/// Render `picks` as a string: an index into `alphabet` appends that
+/// piece, any larger index appends the char `c` (U+FFFD where `c` is a
+/// surrogate). The vendored proptest has no string strategy.
+fn dsl_string(alphabet: &[&str], picks: &[(usize, u32)]) -> String {
+    let mut s = String::new();
+    for &(i, c) in picks {
+        match alphabet.get(i) {
+            Some(piece) => s.push_str(piece),
+            None => s.push(char::from_u32(c).unwrap_or('\u{fffd}')),
+        }
+    }
+    s
+}
+
+/// Pieces of the fault DSL, plus near misses: an out-of-range percent,
+/// an epoch that overflows `u64`, a stray letter.
+const FAULT_ALPHABET: &[&str] = &[
+    "crash@",
+    "slow@",
+    "abort@",
+    "rand:",
+    "@",
+    ":h",
+    ":",
+    ",",
+    " ",
+    "h",
+    "0",
+    "3",
+    "12",
+    "50",
+    "100",
+    "x",
+    "99999999999999999999",
+];
+
+/// The names `CatMask::parse` knows, plus separators and near misses.
+const CAT_ALPHABET: &[&str] = &[
+    "sched", "credit", "cosched", "lock", "futex", "barrier", "fault", ",", " ", "x", "Lock",
+];
+
+fn fault_event() -> impl Strategy<Value = FaultEvent> {
+    prop_oneof![
+        (0u64..40).prop_map(|epoch| FaultEvent {
+            epoch,
+            kind: FaultKind::Abort
+        }),
+        (0u64..40, 0usize..16).prop_map(|(epoch, host)| FaultEvent {
+            epoch,
+            kind: FaultKind::Crash { host }
+        }),
+        (0u64..40, 0usize..16, 1u32..100).prop_map(|(epoch, host, derate_pct)| FaultEvent {
+            epoch,
+            kind: FaultKind::Slow { host, derate_pct }
+        }),
+    ]
+}
+
+/// `ev` written as one DSL token.
+fn fault_token(ev: &FaultEvent) -> String {
+    match ev.kind {
+        FaultKind::Abort => format!("abort@{}", ev.epoch),
+        FaultKind::Crash { host } => format!("crash@{}:h{host}", ev.epoch),
+        FaultKind::Slow { host, derate_pct } => format!("slow@{}:h{host}:{derate_pct}", ev.epoch),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `FaultSpec::parse` never panics, and every plan it accepts (or
+    /// generates from an accepted seed) has nondecreasing epochs. The
+    /// input joins well-formed tokens and junk strings with commas, so
+    /// a fair share of cases is accepted.
+    #[test]
+    fn fault_spec_parse_never_panics(
+        segments in vec(
+            (
+                fault_event(),
+                0u8..3,
+                vec((0..FAULT_ALPHABET.len() + 2, 0u32..0x11_0000), 0..8),
+            ),
+            0..6,
+        ),
+    ) {
+        let s = segments
+            .iter()
+            .map(|(ev, form, picks)| match form {
+                0 => dsl_string(FAULT_ALPHABET, picks),
+                _ => fault_token(ev),
+            })
+            .collect::<Vec<_>>()
+            .join(",");
+        let plan = match FaultSpec::parse(&s) {
+            Ok(FaultSpec::Explicit(plan)) => {
+                prop_assert!(!plan.is_empty(), "accepted an empty plan from {s:?}");
+                plan
+            }
+            Ok(spec) => spec.resolve(40, 4),
+            Err(_) => return,
+        };
+        prop_assert!(
+            plan.events.windows(2).all(|w| w[0].epoch <= w[1].epoch),
+            "epochs out of order for {s:?}: {:?}", plan.events
+        );
+    }
+
+    /// Random events written as DSL tokens (with stray spaces around
+    /// them) parse back to the same events, in stable epoch order.
+    #[test]
+    fn fault_dsl_round_trips(
+        events in vec(fault_event(), 1..12),
+        pads in vec((0usize..3, 0usize..3), 12),
+    ) {
+        let s = events
+            .iter()
+            .zip(&pads)
+            .map(|(ev, &(l, r))| format!("{}{}{}", " ".repeat(l), fault_token(ev), " ".repeat(r)))
+            .collect::<Vec<_>>()
+            .join(",");
+        // Stable epoch order, built without sorting.
+        let mut want = Vec::new();
+        for t in 0..=events.iter().map(|e| e.epoch).max().unwrap_or(0) {
+            want.extend(events.iter().filter(|e| e.epoch == t));
+        }
+        prop_assert_eq!(
+            FaultSpec::parse(&s),
+            Ok(FaultSpec::Explicit(FaultPlan { events: want })),
+            "{}",
+            s
+        );
+    }
+
+    /// `CatMask::parse` accepts every comma-joined permutation of
+    /// distinct category names, and rejects the same list with a
+    /// repeated, an empty or an unknown name spliced in.
+    #[test]
+    fn cat_mask_parse_accepts_permutations_only(
+        subset in 1u32..(1 << TraceCat::ALL.len()),
+        keys in vec(any::<u64>(), TraceCat::ALL.len()),
+        at in any::<usize>(),
+        junk in vec((0..CAT_ALPHABET.len() + 1, 0u32..0x11_0000), 1..4),
+    ) {
+        let mut cats: Vec<(u64, TraceCat)> = TraceCat::ALL
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| subset & (1 << i) != 0)
+            .map(|(i, &c)| (keys[i], c))
+            .collect();
+        cats.sort_by_key(|&(k, c)| (k, c as u32));
+        let names: Vec<&str> = cats.iter().map(|&(_, c)| c.name()).collect();
+        let want = cats.iter().fold(CatMask::NONE, |m, &(_, c)| m.with(c));
+        prop_assert_eq!(CatMask::parse(&names.join(",")), Some(want));
+
+        let spliced = |extra: &str| {
+            let mut list = names.clone();
+            list.insert(at % (names.len() + 1), extra);
+            list.join(",")
+        };
+        let repeated = spliced(names[at % names.len()]);
+        prop_assert_eq!(CatMask::parse(&repeated), None, "{}", repeated);
+        let empty = spliced("");
+        prop_assert_eq!(CatMask::parse(&empty), None, "{}", empty);
+        let unknown = dsl_string(CAT_ALPHABET, &junk);
+        if !unknown.contains(',') && TraceCat::from_name(unknown.trim()).is_none() {
+            let s = spliced(&unknown);
+            prop_assert_eq!(CatMask::parse(&s), None, "{}", s);
+        }
+    }
+
+    /// `CatMask::parse` never panics, and what it accepts is a list of
+    /// distinct known names whose union is the mask.
+    #[test]
+    fn cat_mask_parse_never_panics(
+        picks in vec((0..CAT_ALPHABET.len() + 2, 0u32..0x11_0000), 0..16),
+    ) {
+        let s = dsl_string(CAT_ALPHABET, &picks);
+        if let Some(mask) = CatMask::parse(&s) {
+            let mut want = CatMask::NONE;
+            for name in s.split(',').map(str::trim) {
+                let cat = TraceCat::from_name(name);
+                prop_assert!(cat.is_some_and(|c| !want.contains(c)), "accepted {s:?}");
+                want = want.with(cat.unwrap());
+            }
+            prop_assert_eq!(mask, want);
         }
     }
 }

@@ -1,18 +1,21 @@
 //! Property tests for the event-queue pair.
 //!
-//! The optimized [`EventQueue`] (packed-key 4-ary heap + insertion
-//! buffer) and the deliberately naive [`OracleQueue`] (unsorted vector,
-//! linear scans) implement the same [`SimQueue`] surface with unique
-//! `(time, seq)` keys, so *any* correct implementation must pop the
-//! exact same sequence. These properties drive both through arbitrary
-//! push/pop/pop-before/reschedule interleavings and demand:
+//! The optimized [`EventQueue`] (one array sorted descending by
+//! `(time, seq)`, popped from the tail) and the deliberately naive
+//! [`OracleQueue`] (unsorted vector, linear scans) implement the same
+//! [`SimQueue`] surface with unique `(time, seq)` keys, so *any* correct
+//! implementation must pop the exact same sequence. These properties
+//! drive both through arbitrary push/pop/pop-before/reschedule
+//! interleavings and demand:
 //!
-//! * pairwise agreement on every operation's result,
+//! * pairwise agreement on every operation's result and on the
+//!   `fold_state` digest after it (the byte order that checkpoint
+//!   validation and the golden digests depend on),
 //! * nondecreasing key order on drain (time first, then seq — FIFO
 //!   among equal timestamps),
 //! * conservation (`scheduled == popped + pending`) via `audit_check`.
 
-use asman_sim::{Cycles, EventQueue, OracleQueue, SimQueue};
+use asman_sim::{Cycles, EventQueue, Fnv, OracleQueue, SimQueue};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -60,11 +63,19 @@ fn apply<Q: SimQueue<u64>>(q: &mut Q, op: QueueOp, fresh: &mut u64) -> Vec<(Cycl
     }
 }
 
+/// The queue's `fold_state` digest, each payload encoded as its `u64`.
+fn digest<Q: SimQueue<u64>>(q: &Q) -> u64 {
+    let mut h = Fnv::new();
+    q.fold_state(&mut h, &mut |v, h| h.write_u64(*v));
+    h.finish()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The optimized queue and the oracle agree on every observable of
-    /// every operation, under arbitrary interleavings.
+    /// every operation, and on the `fold_state` digest after it, under
+    /// arbitrary interleavings.
     #[test]
     fn optimized_and_oracle_agree_pairwise(ops in vec(op_strategy(1_000), 1..250)) {
         let mut fast: EventQueue<u64> = SimQueue::fresh(16);
@@ -79,6 +90,7 @@ proptest! {
                 SimQueue::peek_time(&fast),
                 SimQueue::peek_time(&slow)
             );
+            prop_assert_eq!(digest(&fast), digest(&slow), "fold_state diverged at op {}", i);
             SimQueue::<u64>::audit_check(&fast);
             SimQueue::<u64>::audit_check(&slow);
         }
