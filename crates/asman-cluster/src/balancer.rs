@@ -465,7 +465,12 @@ mod tests {
         let mut src = vec![false; 4];
         let mut dst = vec![false; 4];
         let p = plan(Policy::VcrdAware, &s, 4, &mut src, &mut dst);
-        assert_eq!(p.moves.len(), 2, "one gang off each hot host: {:?}", p.moves);
+        assert_eq!(
+            p.moves.len(),
+            2,
+            "one gang off each hot host: {:?}",
+            p.moves
+        );
         assert_eq!(p.denied_conflict, 0);
         let (srcs, dsts): (Vec<usize>, Vec<usize>) =
             p.moves.iter().map(|m| (s.vms[m.vm].host, m.to)).unzip();

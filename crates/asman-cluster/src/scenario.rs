@@ -210,11 +210,7 @@ pub fn hotspot(hosts: usize, seed: u64) -> Vec<Machine> {
                 (0..2)
                     .map(|g| {
                         let name = format!("gang{h}_{g}");
-                        VmSpec::new(
-                            name.clone(),
-                            3,
-                            Box::new(gang_program(name, 3, &host_cfg)),
-                        )
+                        VmSpec::new(name.clone(), 3, Box::new(gang_program(name, 3, &host_cfg)))
                     })
                     .collect()
             } else {

@@ -19,8 +19,8 @@
 //! around epochs 8 and 11 to carry any divergence to the horizon.
 
 use asman_cluster::{
-    checkpoint::ClusterState, scenario::ConsolidationSpec, Checkpoint, CheckpointConfig,
-    ChurnPlan, ClusterConfig, Policy,
+    checkpoint::ClusterState, scenario::ConsolidationSpec, Checkpoint, CheckpointConfig, ChurnPlan,
+    ClusterConfig, Policy,
 };
 use asman_sim::FaultPlan;
 
@@ -65,7 +65,11 @@ fn capture_at(cfg: &CheckpointConfig, at: u64) -> Checkpoint {
 /// `apply` is used directly — a decoder that silently dropped a field
 /// would pass no-op validation against its own replay, so the tests
 /// model the drop on the state image itself.
-fn resumed_digest(cfg: &CheckpointConfig, ck: &Checkpoint, tweak: &dyn Fn(&mut ClusterState)) -> u64 {
+fn resumed_digest(
+    cfg: &CheckpointConfig,
+    ck: &Checkpoint,
+    tweak: &dyn Fn(&mut ClusterState),
+) -> u64 {
     let mut ck = ck.clone();
     tweak(&mut ck.state);
     let mut c = cfg.build_cluster(1);

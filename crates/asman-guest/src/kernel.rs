@@ -23,7 +23,9 @@
 
 use std::collections::VecDeque;
 
-use asman_sim::flight::{CatMask, FlightEv, FlightRecorder, TraceCat, PEER_FUTEX_BIT, VM_UNPATCHED};
+use asman_sim::flight::{
+    CatMask, FlightEv, FlightRecorder, TraceCat, PEER_FUTEX_BIT, VM_UNPATCHED,
+};
 use asman_sim::Cycles;
 use asman_workloads::{Mark, Op, Program};
 
@@ -638,9 +640,7 @@ impl GuestKernel {
                             self.stats.spin_pipeline_cycles.saturating_add(used);
                         self.stats.note_spin(used);
                     }
-                    _ => {
-                        self.stats.useful_cycles = self.stats.useful_cycles.saturating_add(used)
-                    }
+                    _ => self.stats.useful_cycles = self.stats.useful_cycles.saturating_add(used),
                 }
                 self.vcpus[v].quantum_used += el;
             }
@@ -1554,7 +1554,11 @@ mod tests {
         g.dispatch(1, Cycles(100), Cycles(0), &mut e); // contender spins
         e.clear();
         g.work_complete(0, Cycles(1_000), &mut e); // charges 900 spin cycles
-        assert_eq!(g.stats().spin_kernel_cycles, Cycles::MAX, "pinned, not wrapped");
+        assert_eq!(
+            g.stats().spin_kernel_cycles,
+            Cycles::MAX,
+            "pinned, not wrapped"
+        );
     }
 
     /// Lock-holder preemption: holder goes offline mid-hold; the waiter's

@@ -12,16 +12,16 @@ fn clk() -> Clock {
 }
 
 fn busy(name: &str, threads: usize) -> Box<ScriptProgram> {
-    Box::new(
-        ScriptProgram::homogeneous(name, threads, vec![Op::Compute(clk().ms(1))]).looping(),
-    )
+    Box::new(ScriptProgram::homogeneous(name, threads, vec![Op::Compute(clk().ms(1))]).looping())
 }
 
 /// A finite program: one compute burst, then done.
 fn burst(name: &str, threads: usize, us: u64) -> Box<ScriptProgram> {
-    Box::new(ScriptProgram::homogeneous(name, threads, vec![Op::Compute(
-        clk().us(us),
-    )]))
+    Box::new(ScriptProgram::homogeneous(
+        name,
+        threads,
+        vec![Op::Compute(clk().us(us))],
+    ))
 }
 
 #[test]

@@ -27,9 +27,7 @@
 use std::fmt::Write as _;
 
 use asman_core::{asman_setup, AsmanConfig};
-use asman_hypervisor::{
-    CapMode, CoschedPolicy, Ev, Machine, MachineConfig, OracleMachine, VmSpec,
-};
+use asman_hypervisor::{CapMode, CoschedPolicy, Ev, Machine, MachineConfig, OracleMachine, VmSpec};
 use asman_sim::{
     check_episode_invariants, detect_lhp, CatMask, Clock, FlightEvent, MetricsRegistry, SimQueue,
     SweepRunner,
@@ -520,7 +518,11 @@ mod tests {
         let ora = "a=1\nb=9\nc=3\n";
         let d = first_digest_divergence("cell y", opt, ora).expect("must diverge");
         assert!(d.report.contains("digest line 1"), "{}", d.report);
-        assert!(d.report.contains("b=2") && d.report.contains("b=9"), "{}", d.report);
+        assert!(
+            d.report.contains("b=2") && d.report.contains("b=9"),
+            "{}",
+            d.report
+        );
         assert!(first_digest_divergence("cell y", opt, opt).is_none());
     }
 }

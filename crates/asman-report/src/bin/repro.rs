@@ -64,8 +64,24 @@ use asman_workloads::{NasBenchmark, ProblemClass};
 /// Every target, in usage order. A [`Targets`] set has bit `i` for
 /// `TARGETS[i]`.
 const TARGETS: [&str; 18] = [
-    "fig1", "fig2", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "extensions",
-    "timeline", "sweep", "trace", "ablations", "audit", "cluster", "series", "soak", "bisect",
+    "fig1",
+    "fig2",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "extensions",
+    "timeline",
+    "sweep",
+    "trace",
+    "ablations",
+    "audit",
+    "cluster",
+    "series",
+    "soak",
+    "bisect",
 ];
 
 type Targets = u32;
@@ -222,8 +238,14 @@ const FLAGS: &[Flag] = &[
 ];
 
 /// Flags a resumed soak honours; the checkpoint fixes everything else.
-const RESUME_KEEPS: [&str; 6] =
-    ["--resume", "--epochs", "--jobs", "--json", "--checkpoint-every", "--quiet"];
+const RESUME_KEEPS: [&str; 6] = [
+    "--resume",
+    "--epochs",
+    "--jobs",
+    "--json",
+    "--checkpoint-every",
+    "--quiet",
+];
 
 /// Everything the command line sets, holding each default until a flag
 /// overrides it.
@@ -348,7 +370,10 @@ fn class(v: &str) -> Result<ProblemClass, String> {
 fn cats(v: &str) -> Result<CatMask, String> {
     CatMask::parse(v).ok_or_else(|| {
         let known: Vec<&str> = TraceCat::ALL.iter().map(|c| c.name()).collect();
-        format!("`{v}` has an unknown or repeated category (known: {})", known.join(","))
+        format!(
+            "`{v}` has an unknown or repeated category (known: {})",
+            known.join(",")
+        )
     })
 }
 
@@ -359,7 +384,9 @@ fn policy(v: &str) -> Result<Policy, String> {
 
 fn mutation(v: &str) -> Result<Mutation, String> {
     match Mutation::parse(v) {
-        None => Err(format!("unknown mutation `{v}` (use dirty-undercount|boost-skip)")),
+        None => Err(format!(
+            "unknown mutation `{v}` (use dirty-undercount|boost-skip)"
+        )),
         Some(m) if !m.available() => Err(format!("{v} requires a build with --features audit")),
         Some(m) => Ok(m),
     }
@@ -418,7 +445,11 @@ fn usage() -> String {
         if f.targets != EVERY {
             text += &format!(" [{}]", names(f.targets).join(" "));
         }
-        s += &format!("  {:<w$}", format!("{} {}", f.name, f.value), w = INDENT - 2);
+        s += &format!(
+            "  {:<w$}",
+            format!("{} {}", f.name, f.value),
+            w = INDENT - 2
+        );
         let mut col = INDENT;
         for word in text.split_whitespace() {
             if col + 1 + word.len() > 80 && col > INDENT {
@@ -445,7 +476,9 @@ fn fail(msg: &str) -> ! {
 /// Fail unless every host a plan names exists.
 fn check_hosts(flag: &str, named: Option<usize>, hosts: usize) {
     if let Some(h) = named.filter(|&h| h >= hosts) {
-        fail(&format!("{flag} names host {h} but the cluster only has {hosts} hosts"));
+        fail(&format!(
+            "{flag} names host {h} but the cluster only has {hosts} hosts"
+        ));
     }
 }
 
@@ -530,7 +563,11 @@ fn parse_args() -> Args {
         check_faults("--b-faults", &spec.resolve(a.epochs, a.hosts), a.hosts);
     }
     if let Some(spec) = &a.b_churn {
-        check_hosts("--b-churn", spec.resolve(a.epochs, a.hosts).max_host(), a.hosts);
+        check_hosts(
+            "--b-churn",
+            spec.resolve(a.epochs, a.hosts).max_host(),
+            a.hosts,
+        );
     }
     // Checkpoints are artifacts: they need somewhere to land.
     if a.checkpoint_every != 0 && a.json_dir.is_none() {
@@ -641,8 +678,11 @@ fn run_audit(args: &Args) {
     if let Some(dir) = &args.json_dir {
         fs::create_dir_all(dir).expect("create json dir");
         let path = dir.join("AUDIT_diff.json");
-        fs::write(&path, serde_json::to_vec_pretty(&report).expect("serialize"))
-            .expect("write json");
+        fs::write(
+            &path,
+            serde_json::to_vec_pretty(&report).expect("serialize"),
+        )
+        .expect("write json");
         progress!("wrote {}", path.display());
     }
     if !report.ok() || !jobs_ok {
@@ -681,7 +721,13 @@ fn run_cluster(args: &Args) {
         max_moves: args.resolved_max_moves(),
     };
     let exp = cluster::run(&p);
-    emit(args, "CLUSTER_consolidation", exp.render(), exp.shape_checks(), &exp);
+    emit(
+        args,
+        "CLUSTER_consolidation",
+        exp.render(),
+        exp.shape_checks(),
+        &exp,
+    );
 
     // Flight streams, tagged by host id, one artifact per policy.
     if let Some(dir) = args.trace_dir.clone().or_else(|| args.json_dir.clone()) {
@@ -719,8 +765,11 @@ fn run_cluster(args: &Args) {
                 .expect("write migration spans");
             progress!("wrote {}", path.display());
             let path = dir.join(format!("CLUSTER_metrics_{}.json", policy.label()));
-            fs::write(&path, serde_json::to_vec_pretty(&metrics).expect("serialize"))
-                .expect("write cluster metrics");
+            fs::write(
+                &path,
+                serde_json::to_vec_pretty(&metrics).expect("serialize"),
+            )
+            .expect("write cluster metrics");
             progress!("wrote {}", path.display());
         }
     }
@@ -782,9 +831,13 @@ fn run_soak(args: &Args) {
         } else {
             path.clone()
         };
-        let ck = checkpoint::read_checkpoint(&path)
-            .unwrap_or_else(|e| fail(&format!("--resume {e}")));
-        let epochs = if epochs_given { args.epochs } else { ck.config.epochs };
+        let ck =
+            checkpoint::read_checkpoint(&path).unwrap_or_else(|e| fail(&format!("--resume {e}")));
+        let epochs = if epochs_given {
+            args.epochs
+        } else {
+            ck.config.epochs
+        };
         if ck.state.epoch >= epochs {
             fail(&format!(
                 "--resume checkpoint is at epoch {} but the horizon is {epochs}; \
@@ -808,7 +861,11 @@ fn run_soak(args: &Args) {
             ..defaults
         }
     } else {
-        let epochs = if epochs_given { args.epochs } else { defaults.epochs };
+        let epochs = if epochs_given {
+            args.epochs
+        } else {
+            defaults.epochs
+        };
         soak::SoakParams {
             hosts: args.hosts,
             gangs: args.vms,
@@ -1049,7 +1106,12 @@ mod tests {
     fn every_flag_is_unique_read_and_documented() {
         let usage = usage();
         for f in FLAGS {
-            assert_eq!(FLAGS.iter().filter(|g| g.long() == f.long()).count(), 1, "{}", f.name);
+            assert_eq!(
+                FLAGS.iter().filter(|g| g.long() == f.long()).count(),
+                1,
+                "{}",
+                f.name
+            );
             assert_ne!(f.targets, 0, "{} is read by no target", f.name);
             assert!(usage.contains(f.name), "usage documents {}", f.name);
         }

@@ -249,7 +249,9 @@ pub fn run(p: &BisectParams) -> BisectOutcome {
     let (first_event, context) = match first_idx {
         Some(i) => {
             let at = |r: &[String], i: usize| {
-                r.get(i).cloned().unwrap_or_else(|| "<stream ended>".to_string())
+                r.get(i)
+                    .cloned()
+                    .unwrap_or_else(|| "<stream ended>".to_string())
             };
             let lo = i.saturating_sub(CONTEXT_EVENTS);
             let hi = (i + CONTEXT_EVENTS + 1).min(ra.len());
@@ -317,7 +319,10 @@ mod tests {
         });
         assert!(out.identical());
         assert_eq!(out.digest_a, out.digest_b);
-        assert_eq!(out.epochs_stepped, 12, "each side steps to the horizon once");
+        assert_eq!(
+            out.epochs_stepped, 12,
+            "each side steps to the horizon once"
+        );
         assert!(out.mismatches.is_empty());
     }
 
@@ -335,7 +340,10 @@ mod tests {
         assert!(first > 0, "the built clusters are identical");
         assert_eq!(out.epochs_stepped, 4 * first, "2·d to find, 2·d to replay");
         assert!(!out.mismatches.is_empty(), "divergence names state fields");
-        assert!(out.first_event.is_some(), "schedules differ -> flight events differ");
+        assert!(
+            out.first_event.is_some(),
+            "schedules differ -> flight events differ"
+        );
     }
 
     /// Scenario-shape differences (seed) diverge at epoch 0 — before
@@ -375,7 +383,11 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(Some(first), first_migration, "diverges where the first migration lands");
+        assert_eq!(
+            Some(first),
+            first_migration,
+            "diverges where the first migration lands"
+        );
         assert!(
             out.mismatches.iter().any(|m| m.contains("records")),
             "migration records differ: {:?}",

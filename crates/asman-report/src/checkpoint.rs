@@ -36,8 +36,8 @@ pub fn ckpt_epoch(name: &str) -> Option<u64> {
 /// filename widths. `--resume DIR` uses this so a kill-and-resume
 /// workflow never has to name the exact artifact.
 pub fn latest_checkpoint(dir: &Path) -> Result<PathBuf, String> {
-    let entries = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+    let entries =
+        std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
     let mut best: Option<(u64, PathBuf)> = None;
     for entry in entries {
         let entry = entry.map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
@@ -69,8 +69,7 @@ pub fn write_checkpoint(dir: &Path, ck: &Checkpoint) -> std::io::Result<PathBuf>
 pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let v = serde_json::from_str(&text)
-        .map_err(|e| format!("{}: {e}", path.display()))?;
+    let v = serde_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))?;
     Checkpoint::from_value(&v).map_err(|e| format!("{}: {e}", path.display()))
 }
 
@@ -162,7 +161,11 @@ mod tests {
         let dir = std::env::temp_dir().join("asman-ckpt-io-boundary");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        for name in ["CKPT_999999.json", "CKPT_1000000.json", "CKPT_000000500.json"] {
+        for name in [
+            "CKPT_999999.json",
+            "CKPT_1000000.json",
+            "CKPT_000000500.json",
+        ] {
             std::fs::write(dir.join(name), "{}").unwrap();
         }
         std::fs::write(dir.join("SOAK_report.json"), "{}").unwrap();

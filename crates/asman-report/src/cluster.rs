@@ -240,7 +240,9 @@ impl ClusterExperiment {
             }
         }
         for o in &self.outcomes {
-            let Some(rec) = &o.report.recovery else { continue };
+            let Some(rec) = &o.report.recovery else {
+                continue;
+            };
             for a in &rec.aborts {
                 writeln!(
                     s,
@@ -360,10 +362,7 @@ mod tests {
     #[test]
     fn jobs_count_does_not_change_digests() {
         let seq = run(&small());
-        let par = run(&ClusterParams {
-            jobs: 4,
-            ..small()
-        });
+        let par = run(&ClusterParams { jobs: 4, ..small() });
         let d = |e: &ClusterExperiment| -> Vec<String> {
             e.outcomes.iter().map(|o| o.digest.clone()).collect()
         };
@@ -385,10 +384,17 @@ mod tests {
     fn faulted_run_aborts_then_commits_the_retry() {
         let exp = run(&faulted());
         let aware = exp.outcome("vcrd-aware").expect("vcrd-aware cell");
-        let rec = aware.report.recovery.as_ref().expect("faulted run carries recovery");
+        let rec = aware
+            .report
+            .recovery
+            .as_ref()
+            .expect("faulted run carries recovery");
         assert!(!rec.aborts.is_empty(), "abort@0 must abort the first move");
         assert_eq!(rec.aborts[0].attempt, 1);
-        assert!(rec.retries_committed >= 1, "the aborted move must commit on retry");
+        assert!(
+            rec.retries_committed >= 1,
+            "the aborted move must commit on retry"
+        );
         // The committed retry lands one epoch after the abort and moves
         // the same VM to the same destination.
         let a = &rec.aborts[0];
@@ -408,7 +414,11 @@ mod tests {
             let rec = o.report.recovery.as_ref().expect("recovery present");
             // Host 1 crashed, so nothing may report it as home.
             for row in &o.report.vm_rows {
-                assert_ne!(row.host, 1, "{}: {} still on crashed host", o.report.policy, row.name);
+                assert_ne!(
+                    row.host, 1,
+                    "{}: {} still on crashed host",
+                    o.report.policy, row.name
+                );
             }
             assert_eq!(
                 o.report.vm_rows.len(),
@@ -430,7 +440,11 @@ mod tests {
         let d = |e: &ClusterExperiment| -> Vec<String> {
             e.outcomes.iter().map(|o| o.digest.clone()).collect()
         };
-        assert_eq!(d(&seq), d(&par), "faulted digests must be worker-count independent");
+        assert_eq!(
+            d(&seq),
+            d(&par),
+            "faulted digests must be worker-count independent"
+        );
     }
 
     #[test]
@@ -471,10 +485,17 @@ mod tests {
             "host_crash",
             "evacuate",
         ] {
-            assert!(fault_evs.contains(&kind), "flight stream missing {kind}: {fault_evs:?}");
+            assert!(
+                fault_evs.contains(&kind),
+                "flight stream missing {kind}: {fault_evs:?}"
+            );
         }
         assert!(reg.counter("cluster.migration.aborts").unwrap_or(0) >= 1);
-        assert!(reg.counter("cluster.migration.retries_committed").unwrap_or(0) >= 1);
+        assert!(
+            reg.counter("cluster.migration.retries_committed")
+                .unwrap_or(0)
+                >= 1
+        );
         assert_eq!(reg.counter("cluster.hosts.crashed"), Some(1));
         assert!(reg.counter("cluster.evacuations").unwrap_or(0) >= 1);
         // Per-host scheduler counters ride along, host-prefixed.
@@ -508,7 +529,11 @@ mod tests {
             }
         }
         let a = abort_span.expect("abort@0 recorded");
-        assert_eq!(retry_span, Some(a), "retry reuses the aborted attempt's span");
+        assert_eq!(
+            retry_span,
+            Some(a),
+            "retry reuses the aborted attempt's span"
+        );
         assert!(
             commit_spans.contains(&a),
             "the chain's commit carries the same span: {commit_spans:?}"
@@ -522,8 +547,13 @@ mod tests {
             jobs: 1,
             ..ClusterParams::default()
         };
-        let (streams, _) =
-            capture_flight(&p, Policy::Static, CatMask::ALL, 50_000, CLUSTER_STREAM_BUDGET);
+        let (streams, _) = capture_flight(
+            &p,
+            Policy::Static,
+            CatMask::ALL,
+            50_000,
+            CLUSTER_STREAM_BUDGET,
+        );
         assert_eq!(streams.len(), p.hosts);
         assert!(
             streams.iter().all(|(_, evs)| !evs.is_empty()),
@@ -531,7 +561,10 @@ mod tests {
         );
         for (h, evs) in &streams {
             assert!(*h < p.hosts);
-            assert!(evs.windows(2).all(|w| w[0].t <= w[1].t), "streams are time-ordered");
+            assert!(
+                evs.windows(2).all(|w| w[0].t <= w[1].t),
+                "streams are time-ordered"
+            );
         }
     }
 
@@ -546,8 +579,13 @@ mod tests {
             jobs: 1,
             ..ClusterParams::default()
         };
-        let (unbounded, _) =
-            capture_flight(&p, Policy::Static, CatMask::ALL, 50_000, CLUSTER_STREAM_BUDGET);
+        let (unbounded, _) = capture_flight(
+            &p,
+            Policy::Static,
+            CatMask::ALL,
+            50_000,
+            CLUSTER_STREAM_BUDGET,
+        );
         let total: usize = unbounded.iter().map(|(_, evs)| evs.len()).sum();
         assert!(total > 100, "capture must be big enough to truncate");
         let budget = total / 2;
@@ -561,7 +599,9 @@ mod tests {
         );
         for (h, evs) in &capped {
             assert!(
-                evs.iter().zip(unbounded[*h].1.iter()).all(|(a, b)| a.t == b.t),
+                evs.iter()
+                    .zip(unbounded[*h].1.iter())
+                    .all(|(a, b)| a.t == b.t),
                 "truncation keeps each stream's time-ordered prefix"
             );
         }

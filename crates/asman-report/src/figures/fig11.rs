@@ -27,8 +27,12 @@ impl Combination {
     /// Run one workload combination across the three schedulers (one
     /// independent machine each, fanned over the sweep runner).
     pub fn run(label: &str, which: u8, params: &FigureParams) -> Combination {
-        let mut base =
-            MultiVmScenario::new(Sched::Credit, paper_combination(which), params.class, params.seed);
+        let mut base = MultiVmScenario::new(
+            Sched::Credit,
+            paper_combination(which),
+            params.class,
+            params.seed,
+        );
         base.rounds = params.rounds;
         let mut rows =
             crate::multivm::run_under_schedulers(&base, &Sched::ALL, &params.runner()).into_iter();

@@ -239,12 +239,24 @@ fn chrome_trace(
     // Metadata: process and thread names, fixed order.
     meta_name(&mut w, "process_name", 0, None, format_args!("PCPUs"));
     for p in 0..topo.pcpus {
-        meta_name(&mut w, "thread_name", 0, Some(p as u64), format_args!("pcpu{p}"));
+        meta_name(
+            &mut w,
+            "thread_name",
+            0,
+            Some(p as u64),
+            format_args!("pcpu{p}"),
+        );
     }
     for (vm, name) in topo.vm_names.iter().enumerate() {
         let pid = vm as u64 + 1;
         meta_name(&mut w, "process_name", pid, None, format_args!("{name}"));
-        meta_name(&mut w, "thread_name", pid, Some(TID_VMM_ROW), format_args!("vmm"));
+        meta_name(
+            &mut w,
+            "thread_name",
+            pid,
+            Some(TID_VMM_ROW),
+            format_args!("vmm"),
+        );
         for slot in 0..topo.vm_vcpus[vm] {
             meta_name(
                 &mut w,
@@ -258,7 +270,8 @@ fn chrome_trace(
 
     // Guest thread rows discovered from the stream; named below once the
     // per-VM thread population is known.
-    let mut guest_threads: std::collections::BTreeSet<(u32, u32)> = std::collections::BTreeSet::new();
+    let mut guest_threads: std::collections::BTreeSet<(u32, u32)> =
+        std::collections::BTreeSet::new();
     let mut has_migrations = false;
     for e in events {
         match e.ev {
@@ -280,7 +293,13 @@ fn chrome_trace(
         }
     }
     if has_migrations {
-        meta_name(&mut w, "thread_name", 0, Some(TID_MIG_ROW), format_args!("migrations"));
+        meta_name(
+            &mut w,
+            "thread_name",
+            0,
+            Some(TID_MIG_ROW),
+            format_args!("migrations"),
+        );
     }
     for &(vm, thread) in &guest_threads {
         meta_name(
@@ -297,7 +316,7 @@ fn chrome_trace(
     let mut running: HashMap<u32, (Cycles, u32)> = HashMap::new(); // vcpu -> (t0, pcpu)
     let mut spinning: HashMap<(u32, u32), (Cycles, u32)> = HashMap::new(); // (vm,thread) -> (t0, lock)
     let mut holding: HashMap<(u32, u32, u32), Cycles> = HashMap::new(); // (vm,thread,lock) -> t0
-    // span id -> (t0, vm, from, to, attempt, pages); one slice per attempt.
+                                                                        // span id -> (t0, vm, from, to, attempt, pages); one slice per attempt.
     let mut mig_open: HashMap<u32, (Cycles, u32, u32, u32, u32, u64)> = HashMap::new();
 
     let close_run = |w: &mut Writer, vcpu: u32, t0: Cycles, pcpu: u32, t1: Cycles| {
@@ -312,7 +331,10 @@ fn chrome_trace(
     };
     // The VMM-side row of a VCPU, and the per-VM VMM row.
     let vcpu_row = |vm: u32, vcpu: u32| {
-        (vm as u64 + 1, TID_VMM_VCPU_BASE + topo.locate(vcpu).1 as u64)
+        (
+            vm as u64 + 1,
+            TID_VMM_VCPU_BASE + topo.locate(vcpu).1 as u64,
+        )
     };
     let vmm_row = |vm: u32| (vm as u64 + 1, TID_VMM_ROW);
     let thread_row = |vm: u32, thread: u32| (vm as u64 + 1, thread as u64);
@@ -345,7 +367,12 @@ fn chrome_trace(
                     &[],
                 )
             }
-            FlightEv::CreditAssign { vcpu, vm, income, credit } => instant(
+            FlightEv::CreditAssign {
+                vcpu,
+                vm,
+                income,
+                credit,
+            } => instant(
                 w,
                 format_args!("credit"),
                 vcpu_row(vm, vcpu),
@@ -373,10 +400,14 @@ fn chrome_trace(
                 topo.us(t),
                 &[],
             ),
-            FlightEv::LockContend { vm, thread, lock, .. } => {
+            FlightEv::LockContend {
+                vm, thread, lock, ..
+            } => {
                 spinning.insert((vm, thread), (t, lock));
             }
-            FlightEv::LockAcquire { vm, thread, lock, .. } => {
+            FlightEv::LockAcquire {
+                vm, thread, lock, ..
+            } => {
                 if let Some((t0, l)) = spinning.remove(&(vm, thread)) {
                     if l == lock {
                         span(
@@ -391,7 +422,9 @@ fn chrome_trace(
                 }
                 holding.insert((vm, thread, lock), t);
             }
-            FlightEv::LockRelease { vm, thread, lock, .. } => {
+            FlightEv::LockRelease {
+                vm, thread, lock, ..
+            } => {
                 if let Some(t0) = holding.remove(&(vm, thread, lock)) {
                     span(
                         w,
@@ -403,28 +436,48 @@ fn chrome_trace(
                     );
                 }
             }
-            FlightEv::FutexBlock { vm, thread, futex, .. } => instant(
+            FlightEv::FutexBlock {
+                vm, thread, futex, ..
+            } => instant(
                 w,
                 format_args!("futex block {}", futex_name(futex)),
                 thread_row(vm, thread),
                 topo.us(t),
                 &[],
             ),
-            FlightEv::FutexWake { vm, thread, futex, woken, .. } => instant(
+            FlightEv::FutexWake {
+                vm,
+                thread,
+                futex,
+                woken,
+                ..
+            } => instant(
                 w,
                 format_args!("futex wake {}", futex_name(futex)),
                 thread_row(vm, thread),
                 topo.us(t),
                 &[("woken", Arg::U(woken as u64))],
             ),
-            FlightEv::BarrierArrive { vm, thread, barrier, arrived, .. } => instant(
+            FlightEv::BarrierArrive {
+                vm,
+                thread,
+                barrier,
+                arrived,
+                ..
+            } => instant(
                 w,
                 format_args!("arrive b{barrier}"),
                 thread_row(vm, thread),
                 topo.us(t),
                 &[("arrived", Arg::U(arrived as u64))],
             ),
-            FlightEv::BarrierRelease { vm, thread, barrier, woken, .. } => instant(
+            FlightEv::BarrierRelease {
+                vm,
+                thread,
+                barrier,
+                woken,
+                ..
+            } => instant(
                 w,
                 format_args!("release b{barrier}"),
                 thread_row(vm, thread),
@@ -453,15 +506,28 @@ fn chrome_trace(
             // closed by its commit (duration == injected pause) or abort
             // (duration == abort penalty). The span id ties a retry
             // chain's slices together across host streams.
-            FlightEv::MigratePrepare { span: sp, vm, from, to, attempt } => {
+            FlightEv::MigratePrepare {
+                span: sp,
+                vm,
+                from,
+                to,
+                attempt,
+            } => {
                 mig_open.insert(sp, (t, vm, from, to, attempt, 0));
             }
-            FlightEv::MigrateCopy { span: sp, pages, .. } => {
+            FlightEv::MigrateCopy {
+                span: sp, pages, ..
+            } => {
                 if let Some(o) = mig_open.get_mut(&sp) {
                     o.5 += pages;
                 }
             }
-            FlightEv::MigrateCommit { span: sp, vm, to, pause } => {
+            FlightEv::MigrateCommit {
+                span: sp,
+                vm,
+                to,
+                pause,
+            } => {
                 if let Some((t0, _, from, _, attempt, pages)) = mig_open.remove(&sp) {
                     span(
                         w,
@@ -478,7 +544,11 @@ fn chrome_trace(
                     );
                 }
             }
-            FlightEv::MigrateAbort { span: sp, vm, attempt } => {
+            FlightEv::MigrateAbort {
+                span: sp,
+                vm,
+                attempt,
+            } => {
                 if let Some((t0, _, from, to, _, pages)) = mig_open.remove(&sp) {
                     span(
                         w,
@@ -498,16 +568,26 @@ fn chrome_trace(
                         format_args!("migration abort (attempt {attempt})"),
                         (0, TID_VMM_ROW),
                         topo.us(t),
-                        &[("span", Arg::U(sp as u64)), ("cluster_vm", Arg::U(vm as u64))],
+                        &[
+                            ("span", Arg::U(sp as u64)),
+                            ("cluster_vm", Arg::U(vm as u64)),
+                        ],
                     );
                 }
             }
-            FlightEv::MigrateRetry { span: sp, vm, attempt } => instant(
+            FlightEv::MigrateRetry {
+                span: sp,
+                vm,
+                attempt,
+            } => instant(
                 w,
                 format_args!("migration retry (attempt {attempt})"),
                 (0, TID_MIG_ROW),
                 topo.us(t),
-                &[("span", Arg::U(sp as u64)), ("cluster_vm", Arg::U(vm as u64))],
+                &[
+                    ("span", Arg::U(sp as u64)),
+                    ("cluster_vm", Arg::U(vm as u64)),
+                ],
             ),
             FlightEv::Evacuate { vm, from, to } => instant(
                 w,
@@ -636,7 +716,13 @@ pub fn migration_spans(events: &[FlightEvent]) -> Vec<MigrationSpan> {
     let mut last_prepare: BTreeMap<u32, Cycles> = BTreeMap::new();
     for e in events {
         match e.ev {
-            FlightEv::MigratePrepare { span, vm, from, to, attempt } => {
+            FlightEv::MigratePrepare {
+                span,
+                vm,
+                from,
+                to,
+                attempt,
+            } => {
                 let s = spans.entry(span).or_insert(MigrationSpan {
                     span,
                     vm,
@@ -712,7 +798,10 @@ pub fn capture(m: &mut Machine, sched: &'static str) -> TraceArtifacts {
     reg.inc("lhp.preempted_cycles", lhp.total_preempted.as_u64());
     reg.inc("lhp.wasted_spin_cycles", lhp.total_wasted_spin.as_u64());
 
-    let mut summary = format!("flight recorder — {sched}, {} events retained\n", events.len());
+    let mut summary = format!(
+        "flight recorder — {sched}, {} events retained\n",
+        events.len()
+    );
     summary.push_str(&format!(
         "  {:>8} {:>12} {:>12} {:>12}\n",
         "category", "seen", "retained", "dropped"
@@ -791,7 +880,10 @@ pub fn write_bundles(dir: &Path, bundles: &[TraceArtifacts]) -> io::Result<Vec<P
             (format!("trace_{tag}.json"), &b.chrome_json),
             (format!("lhp_{tag}.json"), &b.lhp_json),
             (format!("metrics_{tag}.json"), &b.metrics_json),
-            (format!("summary_{tag}.txt"), &b.summary.clone().into_bytes()),
+            (
+                format!("summary_{tag}.txt"),
+                &b.summary.clone().into_bytes(),
+            ),
         ] {
             let path = dir.join(name);
             std::fs::write(&path, bytes)?;
@@ -824,7 +916,9 @@ mod tests {
     }
 
     fn events_of(doc: &Value) -> &Vec<Value> {
-        let Value::Object(top) = doc else { panic!("not an object") };
+        let Value::Object(top) = doc else {
+            panic!("not an object")
+        };
         let Some((_, Value::Array(evs))) = top.iter().find(|(k, _)| k == "traceEvents") else {
             panic!("no traceEvents array");
         };
@@ -832,7 +926,9 @@ mod tests {
     }
 
     fn field<'a>(ev: &'a Value, name: &str) -> &'a Value {
-        let Value::Object(fields) = ev else { panic!("event not an object") };
+        let Value::Object(fields) = ev else {
+            panic!("event not an object")
+        };
         &fields.iter().find(|(k, _)| k == name).expect(name).1
     }
 
@@ -849,22 +945,59 @@ mod tests {
         let clk = Clock::default();
         let t = |ms: u64| clk.ms(ms);
         let evs = vec![
-            FlightEvent { t: t(1), ev: FlightEv::Dispatch { vcpu: 2, vm: 1, pcpu: 0 } },
+            FlightEvent {
+                t: t(1),
+                ev: FlightEv::Dispatch {
+                    vcpu: 2,
+                    vm: 1,
+                    pcpu: 0,
+                },
+            },
             FlightEvent {
                 t: t(2),
-                ev: FlightEv::LockContend { vm: 1, vcpu: 2, thread: 0, lock: 3 },
+                ev: FlightEv::LockContend {
+                    vm: 1,
+                    vcpu: 2,
+                    thread: 0,
+                    lock: 3,
+                },
             },
             FlightEvent {
                 t: t(3),
-                ev: FlightEv::LockAcquire { vm: 1, vcpu: 2, thread: 0, lock: 3, wait: 100 },
+                ev: FlightEv::LockAcquire {
+                    vm: 1,
+                    vcpu: 2,
+                    thread: 0,
+                    lock: 3,
+                    wait: 100,
+                },
             },
             FlightEvent {
                 t: t(4),
-                ev: FlightEv::LockRelease { vm: 1, vcpu: 2, thread: 0, lock: 3 },
+                ev: FlightEv::LockRelease {
+                    vm: 1,
+                    vcpu: 2,
+                    thread: 0,
+                    lock: 3,
+                },
             },
-            FlightEvent { t: t(5), ev: FlightEv::Preempt { vcpu: 2, vm: 1, pcpu: 0 } },
+            FlightEvent {
+                t: t(5),
+                ev: FlightEv::Preempt {
+                    vcpu: 2,
+                    vm: 1,
+                    pcpu: 0,
+                },
+            },
             // Still running at end-of-window: closed at `end`.
-            FlightEvent { t: t(6), ev: FlightEv::Dispatch { vcpu: 0, vm: 0, pcpu: 1 } },
+            FlightEvent {
+                t: t(6),
+                ev: FlightEv::Dispatch {
+                    vcpu: 0,
+                    vm: 0,
+                    pcpu: 1,
+                },
+            },
         ];
         let doc = chrome_doc(&evs, &[], &topo2(), t(10));
         let events = events_of(&doc);
@@ -894,7 +1027,9 @@ mod tests {
             .iter()
             .find(|s| *field(s, "name") == Value::Str("V0/v0".to_string()))
             .unwrap();
-        let Value::F64(dur) = field(open, "dur") else { panic!("dur not f64") };
+        let Value::F64(dur) = field(open, "dur") else {
+            panic!("dur not f64")
+        };
         assert!((dur - 4_000.0).abs() < 1.0, "4 ms = 4000 us, got {dur}");
     }
 
@@ -944,7 +1079,10 @@ mod tests {
                     "locky",
                     2,
                     vec![
-                        Op::CriticalSection { lock: 0, hold: clk.us(150) },
+                        Op::CriticalSection {
+                            lock: 0,
+                            hold: clk.us(150),
+                        },
                         Op::Compute(clk.us(80)),
                     ],
                 )
@@ -953,7 +1091,10 @@ mod tests {
         };
         let mut m = crate::machine_for(
             crate::Sched::Credit,
-            MachineConfig { pcpus: 2, ..MachineConfig::default() },
+            MachineConfig {
+                pcpus: 2,
+                ..MachineConfig::default()
+            },
             vec![VmSpec::new("a", 2, mk()), VmSpec::new("b", 2, mk())],
         );
         m.enable_flight(CatMask::ALL, 64);
@@ -972,7 +1113,10 @@ mod tests {
             m.flight().warned(cat)
                 || (0..m.vm_count()).any(|vm| m.vm_kernel(vm).flight().warned(cat))
         });
-        assert!(warned_somewhere, "an overflowing layer must latch its warning");
+        assert!(
+            warned_somewhere,
+            "an overflowing layer must latch its warning"
+        );
 
         let art = capture(&mut m, "Credit");
         for &&(cat, seen, dropped) in &overflowed {
@@ -1011,7 +1155,10 @@ mod tests {
                     "locky",
                     2,
                     vec![
-                        Op::CriticalSection { lock: 0, hold: clk.us(150) },
+                        Op::CriticalSection {
+                            lock: 0,
+                            hold: clk.us(150),
+                        },
                         Op::Compute(clk.us(80)),
                     ],
                 )
@@ -1020,7 +1167,10 @@ mod tests {
         };
         let mut m = crate::machine_for(
             crate::Sched::Credit,
-            MachineConfig { pcpus: 2, ..MachineConfig::default() },
+            MachineConfig {
+                pcpus: 2,
+                ..MachineConfig::default()
+            },
             vec![VmSpec::new("a", 2, mk()), VmSpec::new("b", 2, mk())],
         );
         m.enable_flight(CatMask::ALL, 64);
@@ -1047,16 +1197,56 @@ mod tests {
         let evs = vec![
             FlightEvent {
                 t: t(1),
-                ev: FlightEv::MigratePrepare { span: sp, vm: 3, from: 0, to: 2, attempt: 1 },
+                ev: FlightEv::MigratePrepare {
+                    span: sp,
+                    vm: 3,
+                    from: 0,
+                    to: 2,
+                    attempt: 1,
+                },
             },
-            FlightEvent { t: t(1), ev: FlightEv::MigrateCopy { span: sp, vm: 3, pages: 100 } },
-            FlightEvent { t: t(3), ev: FlightEv::MigrateAbort { span: sp, vm: 3, attempt: 1 } },
-            FlightEvent { t: t(5), ev: FlightEv::MigrateRetry { span: sp, vm: 3, attempt: 2 } },
+            FlightEvent {
+                t: t(1),
+                ev: FlightEv::MigrateCopy {
+                    span: sp,
+                    vm: 3,
+                    pages: 100,
+                },
+            },
+            FlightEvent {
+                t: t(3),
+                ev: FlightEv::MigrateAbort {
+                    span: sp,
+                    vm: 3,
+                    attempt: 1,
+                },
+            },
             FlightEvent {
                 t: t(5),
-                ev: FlightEv::MigratePrepare { span: sp, vm: 3, from: 0, to: 2, attempt: 2 },
+                ev: FlightEv::MigrateRetry {
+                    span: sp,
+                    vm: 3,
+                    attempt: 2,
+                },
             },
-            FlightEvent { t: t(5), ev: FlightEv::MigrateCopy { span: sp, vm: 3, pages: 40 } },
+            FlightEvent {
+                t: t(5),
+                ev: FlightEv::MigratePrepare {
+                    span: sp,
+                    vm: 3,
+                    from: 0,
+                    to: 2,
+                    attempt: 2,
+                },
+            },
+            FlightEvent {
+                t: t(5),
+                ev: FlightEv::MigrateCopy {
+                    span: sp,
+                    vm: 3,
+                    pages: 40,
+                },
+            },
             FlightEvent {
                 t: t(6),
                 ev: FlightEv::MigrateCommit {
@@ -1081,14 +1271,21 @@ mod tests {
             .iter()
             .find(|s| *field(s, "name") == Value::Str("migrate ABORT vm3 0->2 (attempt 1)".into()))
             .expect("abort slice");
-        let Value::F64(dur) = field(abort, "dur") else { panic!("dur not f64") };
-        assert!((dur - 2_000.0).abs() < 1.0, "abort spans 1ms..3ms = 2000us, got {dur}");
+        let Value::F64(dur) = field(abort, "dur") else {
+            panic!("dur not f64")
+        };
+        assert!(
+            (dur - 2_000.0).abs() < 1.0,
+            "abort spans 1ms..3ms = 2000us, got {dur}"
+        );
         assert!(slices
             .iter()
             .any(|s| *field(s, "name") == Value::Str("migrate vm3 0->2".into())));
         assert!(
-            events.iter().any(|e| *field(e, "ph") == Value::Str("M".into())
-                && format!("{:?}", field(e, "args")).contains("migrations")),
+            events
+                .iter()
+                .any(|e| *field(e, "ph") == Value::Str("M".into())
+                    && format!("{:?}", field(e, "args")).contains("migrations")),
             "migration row must be named"
         );
 
@@ -1111,14 +1308,22 @@ mod tests {
         let clk = Clock::default();
         let evs = vec![FlightEvent {
             t: clk.ms(2),
-            ev: FlightEv::MigratePrepare { span: 0, vm: 1, from: 1, to: 0, attempt: 1 },
+            ev: FlightEv::MigratePrepare {
+                span: 0,
+                vm: 1,
+                from: 1,
+                to: 0,
+                attempt: 1,
+            },
         }];
         let doc = chrome_doc(&evs, &[], &topo2(), clk.ms(4));
         let open = events_of(&doc)
             .iter()
             .find(|e| *field(e, "name") == Value::Str("migrate vm1 1->0 (open)".into()))
             .expect("open slice");
-        let Value::F64(dur) = field(open, "dur") else { panic!("dur not f64") };
+        let Value::F64(dur) = field(open, "dur") else {
+            panic!("dur not f64")
+        };
         assert!((dur - 2_000.0).abs() < 1.0);
         let table = migration_spans(&evs);
         assert_eq!(table.len(), 1);
@@ -1135,8 +1340,22 @@ mod tests {
         let mut topo = topo2();
         topo.vm_names[0] = name.to_string();
         let evs = vec![
-            FlightEvent { t: clk.ms(1), ev: FlightEv::Dispatch { vcpu: 1, vm: 0, pcpu: 0 } },
-            FlightEvent { t: clk.ms(2), ev: FlightEv::Preempt { vcpu: 1, vm: 0, pcpu: 0 } },
+            FlightEvent {
+                t: clk.ms(1),
+                ev: FlightEv::Dispatch {
+                    vcpu: 1,
+                    vm: 0,
+                    pcpu: 0,
+                },
+            },
+            FlightEvent {
+                t: clk.ms(2),
+                ev: FlightEv::Preempt {
+                    vcpu: 1,
+                    vm: 0,
+                    pcpu: 0,
+                },
+            },
         ];
         let doc = chrome_doc(&evs, &[], &topo, clk.ms(3));
         let events = events_of(&doc);
@@ -1147,7 +1366,10 @@ mod tests {
                     && *field(e, "pid") == Value::U64(1)
             })
             .expect("VM process row");
-        assert_eq!(field(process, "args").get("name"), Some(&Value::Str(name.to_string())));
+        assert_eq!(
+            field(process, "args").get("name"),
+            Some(&Value::Str(name.to_string()))
+        );
         assert!(events
             .iter()
             .any(|e| *field(e, "name") == Value::Str(format!("{name}/v1"))));

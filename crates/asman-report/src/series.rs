@@ -126,8 +126,10 @@ fn quantiles(h: &asman_sim::QuantileHist) -> (u64, f64, f64) {
 
 /// Run one policy cell with telemetry armed.
 fn run_cell(p: &SeriesParams, policy: Policy) -> PolicySeries {
-    let mut cluster =
-        scenario::consolidation_cluster(p.cluster.cluster_config(policy), &p.cluster.scenario_spec());
+    let mut cluster = scenario::consolidation_cluster(
+        p.cluster.cluster_config(policy),
+        &p.cluster.scenario_spec(),
+    );
     cluster.enable_series(p.cluster.epochs as usize);
     cluster.enable_sched_latency();
     let report = cluster.run();
@@ -265,7 +267,12 @@ impl SeriesReport {
                     s,
                     "  host{} latency: wake→dispatch p50 {:.0} / p99 {:.0} cycles ({} obs), \
                      preempt-hold p50 {:.0} / p99 {:.0} cycles ({} obs)",
-                    l.host, l.wake_p50, l.wake_p99, l.wake_count, l.preempt_p50, l.preempt_p99,
+                    l.host,
+                    l.wake_p50,
+                    l.wake_p99,
+                    l.wake_count,
+                    l.preempt_p50,
+                    l.preempt_p99,
                     l.preempt_count
                 )
                 .unwrap();
@@ -323,9 +330,20 @@ mod tests {
                 o.policy
             );
         }
-        let aware = rep.outcomes.iter().find(|o| o.policy == "vcrd-aware").unwrap();
-        assert_eq!(aware.first_spike_epoch, Some(0), "host 0 is overloaded from epoch 0");
-        assert!(aware.reaction_epochs.is_some(), "vcrd-aware must react to the spike");
+        let aware = rep
+            .outcomes
+            .iter()
+            .find(|o| o.policy == "vcrd-aware")
+            .unwrap();
+        assert_eq!(
+            aware.first_spike_epoch,
+            Some(0),
+            "host 0 is overloaded from epoch 0"
+        );
+        assert!(
+            aware.reaction_epochs.is_some(),
+            "vcrd-aware must react to the spike"
+        );
         let stat = rep.outcomes.iter().find(|o| o.policy == "static").unwrap();
         assert_eq!(stat.first_migration_epoch, None, "static never migrates");
     }
@@ -337,7 +355,11 @@ mod tests {
         p.cluster.jobs = 4;
         let par = run(&p);
         let bytes = |r: &SeriesReport| serde_json::to_string(r).unwrap();
-        assert_eq!(bytes(&seq), bytes(&par), "series must be byte-identical across jobs");
+        assert_eq!(
+            bytes(&seq),
+            bytes(&par),
+            "series must be byte-identical across jobs"
+        );
     }
 
     #[test]
@@ -345,10 +367,17 @@ mod tests {
         let mut p = small();
         p.cluster.faults = FaultPlan::parse("abort@0,crash@4:h1").unwrap();
         let seq = run(&p);
-        let aware = seq.outcomes.iter().find(|o| o.policy == "vcrd-aware").unwrap();
+        let aware = seq
+            .outcomes
+            .iter()
+            .find(|o| o.policy == "vcrd-aware")
+            .unwrap();
         let last = aware.samples.last().unwrap();
         assert!(last.hosts[1].crashed, "host 1 crashed at epoch 4");
-        assert_eq!(last.hosts[1].resident_vms, 0, "refugees re-placed elsewhere");
+        assert_eq!(
+            last.hosts[1].resident_vms, 0,
+            "refugees re-placed elsewhere"
+        );
         assert!(last.aborts >= 1);
         assert!(last.evacuations >= 1);
         let mut p4 = p.clone();

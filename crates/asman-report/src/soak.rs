@@ -194,10 +194,7 @@ impl SoakReport {
         let _ = writeln!(
             s,
             "soak: {} epochs x {} ms, seed {}, {} hosts",
-            self.epochs,
-            self.epoch_ms,
-            self.seed,
-            self.report.hosts,
+            self.epochs, self.epoch_ms, self.seed, self.report.hosts,
         );
         if let Some(ch) = &self.report.churn {
             let _ = writeln!(
@@ -325,7 +322,10 @@ pub fn run(p: &SoakParams) -> SoakReport {
             occ.series_len <= SOAK_SERIES_CAPACITY,
             "epoch {epoch}: series ring overflowed its capacity"
         );
-        checkpoints.push(SoakCheckpoint { epoch, occupancy: occ });
+        checkpoints.push(SoakCheckpoint {
+            epoch,
+            occupancy: occ,
+        });
     };
     for epoch in 0..p.epochs {
         c.run_epoch();
@@ -378,7 +378,11 @@ pub fn run(p: &SoakParams) -> SoakReport {
     let crosscheck_digest_jobs4 = prefix(4);
 
     let peak = |f: fn(&Occupancy) -> usize| {
-        checkpoints.iter().map(|c| f(&c.occupancy)).max().unwrap_or(0)
+        checkpoints
+            .iter()
+            .map(|c| f(&c.occupancy))
+            .max()
+            .unwrap_or(0)
     };
     SoakReport {
         epochs: p.epochs,

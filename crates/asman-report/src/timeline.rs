@@ -43,7 +43,10 @@ impl Timeline {
     /// dispatch, preempt, block and wake, `credit` for cap-enforcement
     /// parks.
     pub fn arm(m: &mut Machine, capacity: usize) {
-        m.enable_flight(CatMask::only(TraceCat::Sched).with(TraceCat::Credit), capacity);
+        m.enable_flight(
+            CatMask::only(TraceCat::Sched).with(TraceCat::Credit),
+            capacity,
+        );
     }
 
     /// Reconstruct from a machine armed with [`Timeline::arm`].

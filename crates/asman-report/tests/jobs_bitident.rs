@@ -25,10 +25,7 @@ fn fig09_json(jobs: usize) -> String {
 fn fig09_bit_identical_between_jobs_1_and_4() {
     let sequential = fig09_json(1);
     let parallel = fig09_json(4);
-    assert!(
-        !sequential.is_empty(),
-        "fig09 artifact should not be empty"
-    );
+    assert!(!sequential.is_empty(), "fig09 artifact should not be empty");
     assert_eq!(
         sequential, parallel,
         "fig09 artifact differs between --jobs 1 and --jobs 4"

@@ -159,7 +159,11 @@ impl<T> EventQueue<T> {
     /// by `enc`. Key order depends only on *what* is pending, never on
     /// the layout, so every [`SimQueue`](crate::SimQueue) folds the same
     /// bytes.
-    pub fn fold_state(&self, h: &mut crate::fnv::Fnv, enc: &mut dyn FnMut(&T, &mut crate::fnv::Fnv)) {
+    pub fn fold_state(
+        &self,
+        h: &mut crate::fnv::Fnv,
+        enc: &mut dyn FnMut(&T, &mut crate::fnv::Fnv),
+    ) {
         h.write_u64(self.next_seq);
         h.write_u64(self.popped);
         h.write_usize(self.len());

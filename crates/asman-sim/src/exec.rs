@@ -273,8 +273,7 @@ impl SweepRunner {
                 })
                 .collect();
         };
-        let slots: Vec<Mutex<Option<F>>> =
-            cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
+        let slots: Vec<Mutex<Option<F>>> = cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
         let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let panicked: Mutex<Option<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
         // The cursor only hands out indices; cells and results travel
@@ -366,9 +365,7 @@ mod tests {
             let cells: Vec<_> = (0..n)
                 .map(|i| {
                     move || {
-                        std::thread::sleep(std::time::Duration::from_millis(
-                            (n - i) as u64 % 7,
-                        ));
+                        std::thread::sleep(std::time::Duration::from_millis((n - i) as u64 % 7));
                         i
                     }
                 })

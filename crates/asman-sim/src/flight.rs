@@ -777,7 +777,11 @@ mod tests {
     use super::*;
 
     fn dispatch(vcpu: u32) -> FlightEv {
-        FlightEv::Dispatch { vcpu, vm: 0, pcpu: 0 }
+        FlightEv::Dispatch {
+            vcpu,
+            vm: 0,
+            pcpu: 0,
+        }
     }
 
     fn acquire(vcpu: u32, wait: u64) -> FlightEv {
@@ -843,7 +847,11 @@ mod tests {
         r.record(Cycles(2), dispatch(1));
         assert_eq!(r.drain_events().len(), 2);
         assert_eq!(r.seen(TraceCat::Sched), 2, "seen stays cumulative");
-        assert_eq!(r.dropped(TraceCat::Sched), 0, "drained events were not dropped");
+        assert_eq!(
+            r.dropped(TraceCat::Sched),
+            0,
+            "drained events were not dropped"
+        );
         assert_eq!(r.total_dropped(), 0);
         // Genuine capacity rejections still count after a drain.
         for i in 0..6 {
@@ -851,7 +859,11 @@ mod tests {
         }
         assert_eq!(r.dropped(TraceCat::Sched), 2);
         assert_eq!(r.drain_events().len(), 4);
-        assert_eq!(r.dropped(TraceCat::Sched), 2, "unchanged by the second drain");
+        assert_eq!(
+            r.dropped(TraceCat::Sched),
+            2,
+            "unchanged by the second drain"
+        );
         crate::trace::set_overflow_warnings(true);
     }
 
@@ -928,12 +940,24 @@ mod tests {
     #[test]
     fn merge_is_stable_by_timestamp() {
         let a = vec![
-            FlightEvent { t: Cycles(1), ev: dispatch(0) },
-            FlightEvent { t: Cycles(5), ev: dispatch(1) },
+            FlightEvent {
+                t: Cycles(1),
+                ev: dispatch(0),
+            },
+            FlightEvent {
+                t: Cycles(5),
+                ev: dispatch(1),
+            },
         ];
         let b = vec![
-            FlightEvent { t: Cycles(1), ev: acquire(0, 2) },
-            FlightEvent { t: Cycles(3), ev: acquire(1, 2) },
+            FlightEvent {
+                t: Cycles(1),
+                ev: acquire(0, 2),
+            },
+            FlightEvent {
+                t: Cycles(3),
+                ev: acquire(1, 2),
+            },
         ];
         let merged = merge_streams(vec![a, b]);
         let ts: Vec<u64> = merged.iter().map(|e| e.t.as_u64()).collect();
@@ -970,14 +994,22 @@ mod tests {
         // Unknown names keep failing as before.
         assert_eq!(CatMask::parse("nope"), None);
         // A valid single name still parses.
-        assert_eq!(CatMask::parse("fault"), Some(CatMask::only(TraceCat::Fault)));
+        assert_eq!(
+            CatMask::parse("fault"),
+            Some(CatMask::only(TraceCat::Fault))
+        );
     }
 
     #[test]
     fn stream_budget_truncates_and_warns_exactly_once() {
         crate::trace::set_overflow_warnings(false);
         let mk = |n: u64| -> Vec<FlightEvent> {
-            (0..n).map(|i| FlightEvent { t: Cycles(i), ev: dispatch(0) }).collect()
+            (0..n)
+                .map(|i| FlightEvent {
+                    t: Cycles(i),
+                    ev: dispatch(0),
+                })
+                .collect()
         };
         let mut budget = StreamBudget::new(5);
         assert!(!budget.warned());

@@ -171,19 +171,32 @@ pub fn detect_lhp(events: &[FlightEvent]) -> Vec<LhpEpisode> {
                     }
                 }
             }
-            FlightEv::LockContend { vm, vcpu, thread, lock } => {
+            FlightEv::LockContend {
+                vm,
+                vcpu,
+                thread,
+                lock,
+            } => {
                 let st = locks.entry((vm, lock)).or_default();
                 st.waiters.push((thread, vcpu));
                 if let Some(ep) = st.episode.as_mut() {
                     ep.max_waiters = ep.max_waiters.max(st.waiters.len() as u32);
                 }
             }
-            FlightEv::LockAcquire { vm, vcpu, thread, lock, .. } => {
+            FlightEv::LockAcquire {
+                vm,
+                vcpu,
+                thread,
+                lock,
+                ..
+            } => {
                 let st = locks.entry((vm, lock)).or_default();
                 st.waiters.retain(|&(t, _)| t != thread);
                 st.holder = Some((thread, vcpu));
             }
-            FlightEv::LockRelease { vm, thread, lock, .. } => {
+            FlightEv::LockRelease {
+                vm, thread, lock, ..
+            } => {
                 if let Some(st) = locks.get_mut(&(vm, lock)) {
                     if matches!(st.holder, Some((t, _)) if t == thread) {
                         st.holder = None;
@@ -269,23 +282,47 @@ mod tests {
     }
 
     fn dispatch(vcpu: u32) -> FlightEv {
-        FlightEv::Dispatch { vcpu, vm: 0, pcpu: 0 }
+        FlightEv::Dispatch {
+            vcpu,
+            vm: 0,
+            pcpu: 0,
+        }
     }
 
     fn preempt(vcpu: u32) -> FlightEv {
-        FlightEv::Preempt { vcpu, vm: 0, pcpu: 0 }
+        FlightEv::Preempt {
+            vcpu,
+            vm: 0,
+            pcpu: 0,
+        }
     }
 
     fn acquire(vcpu: u32, thread: u32, lock: u32) -> FlightEv {
-        FlightEv::LockAcquire { vm: 0, vcpu, thread, lock, wait: 0 }
+        FlightEv::LockAcquire {
+            vm: 0,
+            vcpu,
+            thread,
+            lock,
+            wait: 0,
+        }
     }
 
     fn contend(vcpu: u32, thread: u32, lock: u32) -> FlightEv {
-        FlightEv::LockContend { vm: 0, vcpu, thread, lock }
+        FlightEv::LockContend {
+            vm: 0,
+            vcpu,
+            thread,
+            lock,
+        }
     }
 
     fn release(vcpu: u32, thread: u32, lock: u32) -> FlightEv {
-        FlightEv::LockRelease { vm: 0, vcpu, thread, lock }
+        FlightEv::LockRelease {
+            vm: 0,
+            vcpu,
+            thread,
+            lock,
+        }
     }
 
     #[test]
@@ -295,8 +332,8 @@ mod tests {
             ev(0, dispatch(1)),
             ev(10, acquire(0, 0, 7)),
             ev(20, contend(1, 1, 7)),
-            ev(30, preempt(0)), // episode opens
-            ev(80, dispatch(0)), // holder back on-CPU after 50 cycles
+            ev(30, preempt(0)),        // episode opens
+            ev(80, dispatch(0)),       // holder back on-CPU after 50 cycles
             ev(100, release(0, 0, 7)), // episode closes
             ev(100, acquire(1, 1, 7)),
             ev(120, release(1, 1, 7)),
@@ -339,7 +376,14 @@ mod tests {
         let events = vec![
             ev(0, dispatch(0)),
             ev(10, acquire(0, 0, 1)),
-            ev(20, FlightEv::Block { vcpu: 0, vm: 0, pcpu: 0 }),
+            ev(
+                20,
+                FlightEv::Block {
+                    vcpu: 0,
+                    vm: 0,
+                    pcpu: 0,
+                },
+            ),
             ev(40, dispatch(0)),
             ev(50, release(0, 0, 1)),
         ];

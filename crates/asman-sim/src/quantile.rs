@@ -177,7 +177,10 @@ mod tests {
         }
         // True p90 of Exp(1) is ln(10) ≈ 2.3026.
         let q = est.estimate().unwrap();
-        assert!((q - std::f64::consts::LN_10).abs() < 0.1, "p90 estimate {q}");
+        assert!(
+            (q - std::f64::consts::LN_10).abs() < 0.1,
+            "p90 estimate {q}"
+        );
     }
 
     #[test]

@@ -97,11 +97,19 @@ impl Serialize for QuantileHist {
             ("count".to_string(), Value::U64(self.count)),
             (
                 "min".to_string(),
-                if self.count > 0 { Value::F64(self.min) } else { Value::Null },
+                if self.count > 0 {
+                    Value::F64(self.min)
+                } else {
+                    Value::Null
+                },
             ),
             (
                 "max".to_string(),
-                if self.count > 0 { Value::F64(self.max) } else { Value::Null },
+                if self.count > 0 {
+                    Value::F64(self.max)
+                } else {
+                    Value::Null
+                },
             ),
             ("mean".to_string(), opt(self.mean())),
             ("p50".to_string(), opt(self.p50.estimate())),
@@ -281,7 +289,11 @@ mod tests {
             panic!("counters must be an object");
         };
         let names: Vec<&str> = counters.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(names, vec!["a.first", "z.last"], "sorted regardless of insertion");
+        assert_eq!(
+            names,
+            vec!["a.first", "z.last"],
+            "sorted regardless of insertion"
+        );
         let Value::Object(hists) = &top[2].1 else {
             panic!("histograms must be an object");
         };
@@ -315,7 +327,9 @@ mod tests {
             sorted.sort_unstable();
             assert_eq!(names, sorted, "{section} keys must serialize sorted");
         }
-        let Value::Object(counters) = &top[0].1 else { unreachable!() };
+        let Value::Object(counters) = &top[0].1 else {
+            unreachable!()
+        };
         assert_eq!(
             counters.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),
             vec![
@@ -349,7 +363,10 @@ mod tests {
         two.observe(9.0);
         for q in [0.50, 0.90, 0.99] {
             let v = two.quantile(q).unwrap();
-            assert!((1.0..=9.0).contains(&v), "q={q} estimate {v} outside [1, 9]");
+            assert!(
+                (1.0..=9.0).contains(&v),
+                "q={q} estimate {v} outside [1, 9]"
+            );
         }
 
         // n = 4: still below the 5-marker P² warm-up; estimates must be
@@ -364,9 +381,15 @@ mod tests {
             four.quantile(0.99).unwrap(),
         );
         for v in [p50, p90, p99] {
-            assert!(v.is_finite() && (2.0..=8.0).contains(&v), "estimate {v} out of range");
+            assert!(
+                v.is_finite() && (2.0..=8.0).contains(&v),
+                "estimate {v} out of range"
+            );
         }
-        assert!(p50 <= p90 && p90 <= p99, "quantiles must be monotone: {p50} {p90} {p99}");
+        assert!(
+            p50 <= p90 && p90 <= p99,
+            "quantiles must be monotone: {p50} {p90} {p99}"
+        );
     }
 
     #[test]
@@ -382,8 +405,16 @@ mod tests {
         src.observe("lat", 6.0);
 
         dst.merge_prefixed("host0.", &src);
-        assert_eq!(dst.counter("host0.hits"), Some(7), "counter collision accumulates");
-        assert_eq!(dst.gauge_value("host0.temp"), Some(9.5), "gauge collision overwrites");
+        assert_eq!(
+            dst.counter("host0.hits"),
+            Some(7),
+            "counter collision accumulates"
+        );
+        assert_eq!(
+            dst.gauge_value("host0.temp"),
+            Some(9.5),
+            "gauge collision overwrites"
+        );
         let h = dst.hist("host0.lat").expect("hist cloned under prefix");
         assert_eq!(h.count(), 2);
         assert_eq!(h.mean(), Some(4.0));

@@ -204,12 +204,19 @@ pub fn detect_anomalies(samples: &[EpochSample], window: usize, nsigma: f64) -> 
                 }
                 let trail = &series[i - window..i];
                 let mean = trail.iter().map(|(_, v)| v).sum::<f64>() / window as f64;
-                let var = trail.iter().map(|(_, v)| (v - mean) * (v - mean)).sum::<f64>()
+                let var = trail
+                    .iter()
+                    .map(|(_, v)| (v - mean) * (v - mean))
+                    .sum::<f64>()
                     / window as f64;
                 let sigma = var.sqrt();
                 let (epoch, value) = series[i];
                 let threshold = mean + nsigma * sigma;
-                let flagged = if sigma > 0.0 { value > threshold } else { value > mean };
+                let flagged = if sigma > 0.0 {
+                    value > threshold
+                } else {
+                    value > mean
+                };
                 if flagged {
                     anomalies.push(Anomaly {
                         epoch,
