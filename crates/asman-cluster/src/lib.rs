@@ -147,20 +147,21 @@ pub enum HostHealth {
 /// holds one of the cluster's [`ClusterConfig::max_moves`] migration
 /// slots — and its source/destination endpoint caps — until it
 /// commits, is abandoned, or exhausts the attempt cap.
-#[derive(Clone, Copy, Debug)]
-struct PendingRetry {
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+pub struct PendingRetry {
     /// Cluster-wide VM id being moved.
-    vm: usize,
+    pub vm: usize,
     /// Destination of the original decision.
-    to: usize,
-    /// Epoch at whose boundary the retry may run.
-    due: u64,
+    pub to: usize,
+    /// Epoch at whose boundary the retry may run (a checkpoint can
+    /// catch it mid-countdown).
+    pub due: u64,
     /// Attempts already made (>= 1).
-    attempts: u32,
+    pub attempts: u32,
     /// Causal span id minted at the chain's first `prepare`; every
     /// retry attempt reuses it so the flight stream ties the whole
     /// chain together.
-    span: u32,
+    pub span: u32,
 }
 
 /// Wall-time attribution of one epoch of the parallel driver, captured
@@ -219,35 +220,78 @@ struct AdvanceOut {
 
 /// Cluster-side registry entry for one VM. The cluster id is stable for
 /// the whole run; `host`/`local` track where the VM currently lives.
-#[derive(Clone, Debug)]
-struct VmEntry {
-    name: String,
-    host: usize,
-    local: usize,
-    vcpus: usize,
-    last_migration: Option<u64>,
-    migrations: u64,
-    prev_spin: u64,
-    prev_vcrd_high: u64,
-    prev_online: u64,
-    spin_delta: u64,
-    vcrd_high_delta: u64,
-    online_delta: u64,
+#[derive(Clone, Debug, PartialEq, Serialize)]
+pub struct VmEntry {
+    /// VM name.
+    pub name: String,
+    /// Current host.
+    pub host: usize,
+    /// Host-local slot.
+    pub local: usize,
+    /// VCPU count.
+    pub vcpus: usize,
+    /// Epoch of the last migration, evacuation or arrival (the
+    /// cooldown anchor).
+    pub last_migration: Option<u64>,
+    /// Times the VM was live-migrated or evacuated.
+    pub migrations: u64,
+    /// Spin-counter baseline the next epoch's delta is formed against.
+    pub prev_spin: u64,
+    /// VCRD-HIGH baseline.
+    pub prev_vcrd_high: u64,
+    /// Online-cycles baseline.
+    pub prev_online: u64,
+    /// Spin delta of the last epoch.
+    pub spin_delta: u64,
+    /// VCRD-HIGH delta of the last epoch.
+    pub vcrd_high_delta: u64,
+    /// Online delta of the last epoch.
+    pub online_delta: u64,
     /// Attempts spent by the current (or last) retry chain.
-    attempts: u32,
+    pub attempts: u32,
     /// The retry chain exhausted its cap; the balancer leaves the VM
     /// alone for the rest of the run.
-    gave_up: bool,
+    pub gave_up: bool,
     /// The VM shut down and left the cluster. The entry stays in the
     /// registry (cluster ids are stable for the whole run) but is
     /// skipped by the balancer, delta collection, evacuation and the
     /// auditor; its `host`/`local` fields are frozen at the departure
     /// location and must not be dereferenced — with slot reuse enabled
     /// a later arrival may live there.
-    departed: bool,
+    pub departed: bool,
     /// Final report row, captured from the travelling counters at the
     /// moment of departure.
-    final_row: Option<VmRow>,
+    pub final_row: Option<VmRow>,
+}
+
+impl VmEntry {
+    /// A newly registered VM: never moved, zero baselines and deltas.
+    fn new(
+        name: String,
+        host: usize,
+        local: usize,
+        vcpus: usize,
+        last_migration: Option<u64>,
+    ) -> Self {
+        VmEntry {
+            name,
+            host,
+            local,
+            vcpus,
+            last_migration,
+            migrations: 0,
+            prev_spin: 0,
+            prev_vcrd_high: 0,
+            prev_online: 0,
+            spin_delta: 0,
+            vcrd_high_delta: 0,
+            online_delta: 0,
+            attempts: 0,
+            gave_up: false,
+            departed: false,
+            final_row: None,
+        }
+    }
 }
 
 /// Per-VM row of the final report.
@@ -411,32 +455,16 @@ pub struct Cluster {
     /// threads live as long as the cluster.
     runner: SweepRunner,
     hosts: Vec<Machine>,
-    health: Vec<HostHealth>,
-    vms: Vec<VmEntry>,
-    records: Vec<MigrationRecord>,
-    aborts: Vec<AbortRecord>,
-    evacuations: Vec<MigrationRecord>,
-    /// Live migration retry chains, FIFO by chain age. At most
-    /// `cfg.max_moves` entries; each claims its endpoints' per-host
-    /// send/receive caps while alive.
-    pending: Vec<PendingRetry>,
-    retries_committed: u64,
-    retries_abandoned: u64,
-    gave_up: u64,
-    arrivals: u64,
-    departures: u64,
-    arrivals_rejected: u64,
-    departures_skipped: u64,
-    departed_finished: u64,
-    epochs_run: u64,
+    /// The serial control state: registry, health, retry chains,
+    /// records and counters. Checkpoint capture clones it and restore
+    /// assigns it.
+    state: ClusterState,
     /// Per-epoch time-series sampler; `None` (zero cost, digest
     /// unchanged) unless [`Cluster::enable_series`] was called.
     series: Option<SeriesSampler>,
     /// Per-epoch wall-time attribution; `None` unless
     /// [`Cluster::enable_profiling`] was called.
     prof: Option<Vec<EpochProfile>>,
-    /// Next causal migration-span id (minted at `prepare`).
-    next_span: u32,
     #[cfg(feature = "audit")]
     fault_dirty_undercount: bool,
     #[cfg(feature = "audit")]
@@ -453,24 +481,14 @@ impl Cluster {
         for (h, m) in hosts.iter().enumerate() {
             for local in 0..m.vm_count() {
                 assert!(!m.vm_evacuated(local), "seed hosts must have no tombstones");
-                vms.push(VmEntry {
-                    name: m.vm_name(local).to_string(),
-                    host: h,
+                let vcpus = m.vm_kernel(local).vcpu_count();
+                vms.push(VmEntry::new(
+                    m.vm_name(local).to_string(),
+                    h,
                     local,
-                    vcpus: m.vm_kernel(local).vcpu_count(),
-                    last_migration: None,
-                    migrations: 0,
-                    prev_spin: 0,
-                    prev_vcrd_high: 0,
-                    prev_online: 0,
-                    spin_delta: 0,
-                    vcrd_high_delta: 0,
-                    online_delta: 0,
-                    attempts: 0,
-                    gave_up: false,
-                    departed: false,
-                    final_row: None,
-                });
+                    vcpus,
+                    None,
+                ));
             }
         }
         if let Some(h) = cfg.faults.max_host() {
@@ -489,30 +507,19 @@ impl Cluster {
         }
         assert!(cfg.audit_every >= 1, "audit_every must be at least 1");
         assert!(cfg.max_moves >= 1, "max_moves must be at least 1");
-        let health = vec![HostHealth::Healthy; hosts.len()];
+        let state = ClusterState {
+            health: vec![HostHealth::Healthy; hosts.len()],
+            vms,
+            ..ClusterState::default()
+        };
         let runner = SweepRunner::new(cfg.jobs);
         Cluster {
             cfg,
             runner,
             hosts,
-            health,
-            vms,
-            records: Vec::new(),
-            aborts: Vec::new(),
-            evacuations: Vec::new(),
-            pending: Vec::new(),
-            retries_committed: 0,
-            retries_abandoned: 0,
-            gave_up: 0,
-            arrivals: 0,
-            departures: 0,
-            arrivals_rejected: 0,
-            departures_skipped: 0,
-            departed_finished: 0,
-            epochs_run: 0,
+            state,
             series: None,
             prof: None,
-            next_span: 0,
             #[cfg(feature = "audit")]
             fault_dirty_undercount: false,
             #[cfg(feature = "audit")]
@@ -532,18 +539,24 @@ impl Cluster {
 
     /// Current host of cluster VM `vm`.
     pub fn vm_host(&self, vm: usize) -> usize {
-        self.vms[vm].host
+        self.state.vms[vm].host
     }
 
     /// Registered VM count: every VM that ever lived in the cluster,
     /// including departed ones (cluster ids are stable for the run).
     pub fn vm_count(&self) -> usize {
-        self.vms.len()
+        self.state.vms.len()
     }
 
     /// VMs currently resident (registered and not departed).
     pub fn resident_vm_count(&self) -> usize {
-        self.vms.iter().filter(|e| !e.departed).count()
+        self.state.vms.iter().filter(|e| !e.departed).count()
+    }
+
+    /// VCPUs of the live VMs resident on host `h`.
+    fn resident_vcpus(&self, h: usize) -> usize {
+        let live = self.state.vms.iter().filter(|e| !e.departed && e.host == h);
+        live.map(|e| e.vcpus).sum()
     }
 
     /// Enable tombstone slot reuse on every host: a departing VM's slot
@@ -565,11 +578,11 @@ impl Cluster {
         let slots: usize = self.hosts.iter().map(|m| m.vm_count()).sum();
         let live_slots: usize = self.hosts.iter().map(|m| m.active_vm_count()).sum();
         Occupancy {
-            registry: self.vms.len(),
+            registry: self.state.vms.len(),
             resident: self.resident_vm_count(),
             slots,
             tombstones: slots - live_slots,
-            pending_retries: self.pending.len(),
+            pending_retries: self.state.pending.len(),
             series_len: self.series.as_ref().map_or(0, |s| s.samples().count()),
         }
     }
@@ -580,63 +593,58 @@ impl Cluster {
     /// the admitted population at every checkpoint.
     pub fn churn_counts(&self) -> (u64, u64, u64, u64) {
         (
-            self.arrivals,
-            self.departures,
-            self.arrivals_rejected,
-            self.departures_skipped,
+            self.state.arrivals,
+            self.state.departures,
+            self.state.arrivals_rejected,
+            self.state.departures_skipped,
         )
     }
 
     /// Migrations executed so far.
     pub fn records(&self) -> &[MigrationRecord] {
-        &self.records
+        &self.state.records
     }
 
     /// Aborted migration attempts so far.
     pub fn aborts(&self) -> &[AbortRecord] {
-        &self.aborts
+        &self.state.aborts
     }
 
     /// Crash evacuations so far.
     pub fn evacuations(&self) -> &[MigrationRecord] {
-        &self.evacuations
+        &self.state.evacuations
     }
 
     /// Current health of every host.
     pub fn host_health(&self) -> &[HostHealth] {
-        &self.health
+        &self.state.health
     }
 
     /// Register the recovery counters into `reg` under `cluster.*`.
     /// Zero-valued counters are skipped so a clean run exports nothing.
     pub fn export_recovery_metrics(&self, reg: &mut MetricsRegistry) {
-        let crashed = self
+        let s = &self.state;
+        let crashed = s
             .health
             .iter()
             .filter(|h| **h == HostHealth::Crashed)
             .count() as u64;
-        let degraded = self
+        let degraded = s
             .health
             .iter()
             .filter(|h| matches!(h, HostHealth::Degraded { .. }))
             .count() as u64;
-        let penalty: u64 = self.aborts.iter().map(|a| a.penalty).sum();
-        let evac_pause: u64 = self.evacuations.iter().map(|r| r.pause).sum();
+        let penalty: u64 = s.aborts.iter().map(|a| a.penalty).sum();
+        let evac_pause: u64 = s.evacuations.iter().map(|r| r.pause).sum();
         for (name, v) in [
             ("cluster.hosts.crashed", crashed),
             ("cluster.hosts.degraded", degraded),
-            ("cluster.migration.aborts", self.aborts.len() as u64),
-            (
-                "cluster.migration.retries_committed",
-                self.retries_committed,
-            ),
-            (
-                "cluster.migration.retries_abandoned",
-                self.retries_abandoned,
-            ),
-            ("cluster.migration.gave_up", self.gave_up),
+            ("cluster.migration.aborts", s.aborts.len() as u64),
+            ("cluster.migration.retries_committed", s.retries_committed),
+            ("cluster.migration.retries_abandoned", s.retries_abandoned),
+            ("cluster.migration.gave_up", s.gave_up),
             ("cluster.migration.abort_penalty_cycles", penalty),
-            ("cluster.evacuations", self.evacuations.len() as u64),
+            ("cluster.evacuations", s.evacuations.len() as u64),
             ("cluster.evacuation_pause_cycles", evac_pause),
         ] {
             if v > 0 {
@@ -751,7 +759,7 @@ impl Cluster {
     /// order) and worker-side telemetry capture, this makes the run
     /// bit-identical for every worker count.
     pub fn run_epoch(&mut self) {
-        let epoch = self.epochs_run;
+        let epoch = self.state.epoch;
         let end = self.epoch_cycles() * (epoch + 1);
         let adv = self.advance_hosts(end);
         let serial_t0 = Instant::now();
@@ -776,13 +784,13 @@ impl Cluster {
         // retries claim their endpoints' per-host send/receive caps;
         // the planner then fills the remaining budget with
         // conflict-free fresh moves.
-        let chains_at_start = self.pending.len();
+        let chains_at_start = self.state.pending.len();
         let mut src_used = vec![false; self.hosts.len()];
         let mut dst_used = vec![false; self.hosts.len()];
-        for p in std::mem::take(&mut self.pending) {
+        for p in std::mem::take(&mut self.state.pending) {
             if p.due <= epoch {
                 if let Some((mv, attempt, span)) = self.revalidate_retry(p) {
-                    let from = self.vms[mv.vm].host;
+                    let from = self.state.vms[mv.vm].host;
                     // Committed, re-queued, or given up: the attempt
                     // occupied both endpoints this epoch either way.
                     self.execute_migration(epoch, mv, end, attempt, span);
@@ -790,9 +798,9 @@ impl Cluster {
                     dst_used[mv.to] = true;
                 }
             } else {
-                src_used[self.vms[p.vm].host] = true;
+                src_used[self.state.vms[p.vm].host] = true;
                 dst_used[p.to] = true;
-                self.pending.push(p);
+                self.state.pending.push(p);
             }
         }
         let budget = self.cfg.max_moves.saturating_sub(chains_at_start);
@@ -801,7 +809,7 @@ impl Cluster {
             // VMs owned by a chain that is still alive (waiting, or
             // re-queued by an abort just now) are off-limits to the
             // planner regardless of endpoint caps.
-            for p in &self.pending {
+            for p in &self.state.pending {
                 snap.vms[p.vm].cooling = true;
             }
             let plan = balancer::plan(self.cfg.policy, &snap, budget, &mut src_used, &mut dst_used);
@@ -814,7 +822,7 @@ impl Cluster {
             (0, 0)
         };
         self.sample_series(epoch, &adv.runnable, moves_planned, moves_denied_conflict);
-        self.epochs_run = epoch + 1;
+        self.state.epoch = epoch + 1;
         if let Some(prof) = self.prof.as_mut() {
             let jobs = self.runner.jobs() as u64;
             prof.push(EpochProfile {
@@ -842,7 +850,7 @@ impl Cluster {
         let mut counters: Vec<Vec<VmCounters>> = vec![Vec::new(); self.hosts.len()];
         let mut runnable = vec![0u32; self.hosts.len()];
         let runner = &self.runner;
-        let health = &self.health;
+        let health = &self.state.health;
         let live: Vec<(usize, &mut Machine)> = self
             .hosts
             .iter_mut()
@@ -893,14 +901,14 @@ impl Cluster {
                 online_delta: 0,
                 spin_delta: 0,
                 vcrd_high_delta: 0,
-                derate_pct: match self.health[h] {
+                derate_pct: match self.state.health[h] {
                     HostHealth::Degraded { pct } => pct,
                     _ => 0,
                 },
-                crashed: self.health[h] == HostHealth::Crashed,
+                crashed: self.state.health[h] == HostHealth::Crashed,
             })
             .collect();
-        for e in &self.vms {
+        for e in &self.state.vms {
             let hs = &mut hosts[e.host];
             // A VM that departed at this boundary still contributes its
             // final partial-epoch deltas (it burned them on this host),
@@ -916,14 +924,14 @@ impl Cluster {
         }
         let sample = EpochSample {
             epoch,
-            migrations_in_flight: self.pending.len() as u32,
+            migrations_in_flight: self.state.pending.len() as u32,
             moves_planned,
             moves_denied_conflict,
-            migrations: self.records.len() as u64,
-            aborts: self.aborts.len() as u64,
-            retries_committed: self.retries_committed,
-            gave_up: self.gave_up,
-            evacuations: self.evacuations.len() as u64,
+            migrations: self.state.records.len() as u64,
+            aborts: self.state.aborts.len() as u64,
+            retries_committed: self.state.retries_committed,
+            gave_up: self.state.gave_up,
+            evacuations: self.state.evacuations.len() as u64,
             hosts,
         };
         self.series.as_mut().expect("checked above").push(sample);
@@ -937,21 +945,21 @@ impl Cluster {
         for kind in faults {
             match kind {
                 FaultKind::Slow { host, derate_pct } => {
-                    if self.health[host] == HostHealth::Crashed {
+                    if self.state.health[host] == HostHealth::Crashed {
                         continue;
                     }
                     self.hosts[host].set_capacity_derate(derate_pct);
-                    self.health[host] = HostHealth::Degraded { pct: derate_pct };
+                    self.state.health[host] = HostHealth::Degraded { pct: derate_pct };
                     self.hosts[host].record_cluster_event(FlightEv::HostDerate {
                         host: host as u32,
                         pct: derate_pct,
                     });
                 }
                 FaultKind::Crash { host } => {
-                    if self.health[host] == HostHealth::Crashed {
+                    if self.state.health[host] == HostHealth::Crashed {
                         continue;
                     }
-                    self.health[host] = HostHealth::Crashed;
+                    self.state.health[host] = HostHealth::Crashed;
                     self.hosts[host]
                         .record_cluster_event(FlightEv::HostCrash { host: host as u32 });
                     self.evacuate_host(host, epoch, now);
@@ -986,45 +994,22 @@ impl Cluster {
     fn apply_arrival(&mut self, epoch: u64, shape: VmShape, now: Cycles) {
         let dest = (0..self.hosts.len())
             .filter(|&h| {
-                self.health[h] == HostHealth::Healthy && shape.vcpus <= self.hosts[h].config().pcpus
+                self.state.health[h] == HostHealth::Healthy
+                    && shape.vcpus <= self.hosts[h].config().pcpus
             })
-            .min_by_key(|&h| {
-                let resident: usize = self
-                    .vms
-                    .iter()
-                    .filter(|e| !e.departed && e.host == h)
-                    .map(|e| e.vcpus)
-                    .sum();
-                (resident, h)
-            });
+            .min_by_key(|&h| (self.resident_vcpus(h), h));
         let Some(dest) = dest else {
-            self.arrivals_rejected += 1;
+            self.state.arrivals_rejected += 1;
             return;
         };
         // Names are minted from a global arrival sequence number, so
         // they are unique for the run and independent of placement.
-        let name = format!("{}-c{}", shape.kind.prefix(), self.arrivals);
-        self.arrivals += 1;
+        let name = format!("{}-c{}", shape.kind.prefix(), self.state.arrivals);
+        self.state.arrivals += 1;
         let spec = scenario::arrival_spec(&shape, name.clone(), self.hosts[dest].config());
         let local = self.hosts[dest].create_vm(spec, now);
-        self.vms.push(VmEntry {
-            name,
-            host: dest,
-            local,
-            vcpus: shape.vcpus,
-            last_migration: Some(epoch),
-            migrations: 0,
-            prev_spin: 0,
-            prev_vcrd_high: 0,
-            prev_online: 0,
-            spin_delta: 0,
-            vcrd_high_delta: 0,
-            online_delta: 0,
-            attempts: 0,
-            gave_up: false,
-            departed: false,
-            final_row: None,
-        });
+        let entry = VmEntry::new(name, dest, local, shape.vcpus, Some(epoch));
+        self.state.vms.push(entry);
     }
 
     /// Depart the `slot`-th live VM on `host` (cluster-id order,
@@ -1034,31 +1019,31 @@ impl Cluster {
     /// no live VM (empty, or crashed and already evacuated) skips the
     /// departure.
     fn apply_departure(&mut self, host: usize, slot: usize) {
-        let candidates: Vec<usize> = (0..self.vms.len())
-            .filter(|&id| !self.vms[id].departed && self.vms[id].host == host)
+        let candidates: Vec<usize> = (0..self.state.vms.len())
+            .filter(|&id| !self.state.vms[id].departed && self.state.vms[id].host == host)
             .collect();
         if candidates.is_empty() {
-            self.departures_skipped += 1;
+            self.state.departures_skipped += 1;
             return;
         }
         let id = candidates[slot % candidates.len()];
         // A migration chain moving the departing VM has lost its
         // subject: the chain is abandoned, never retried against a VM
         // that no longer exists.
-        let before = self.pending.len();
-        self.pending.retain(|p| p.vm != id);
-        self.retries_abandoned += (before - self.pending.len()) as u64;
-        let local = self.vms[id].local;
+        let before = self.state.pending.len();
+        self.state.pending.retain(|p| p.vm != id);
+        self.state.retries_abandoned += (before - self.state.pending.len()) as u64;
+        let local = self.state.vms[id].local;
         let ret = self.hosts[host].destroy_vm(local);
         // The travelling counters are final at destruction; reconcile
         // so the departure epoch's deltas (and this host's series
         // sample) cover the VM's last partial epoch.
         self.reconcile_extracted(id, ret.counters);
-        self.departures += 1;
+        self.state.departures += 1;
         if ret.finished {
-            self.departed_finished += 1;
+            self.state.departed_finished += 1;
         }
-        let e = &mut self.vms[id];
+        let e = &mut self.state.vms[id];
         e.departed = true;
         e.final_row = Some(VmRow {
             name: e.name.clone(),
@@ -1087,7 +1072,7 @@ impl Cluster {
     /// destination host's series sample. On a departure the tail would
     /// be dropped entirely.
     fn reconcile_extracted(&mut self, vm: usize, c: VmCounters) {
-        let e = &mut self.vms[vm];
+        let e = &mut self.state.vms[vm];
         e.spin_delta += c.spin.saturating_sub(e.prev_spin);
         e.vcrd_high_delta += c.vcrd_high.saturating_sub(e.prev_vcrd_high);
         e.online_delta += c.online.saturating_sub(e.prev_online);
@@ -1102,29 +1087,23 @@ impl Cluster {
     /// stop-and-copy migration (the simulator restores the VM from its
     /// at-crash state; the full pause models the restore).
     fn evacuate_host(&mut self, host: usize, epoch: u64, now: Cycles) {
-        let refugees: Vec<usize> = (0..self.vms.len())
-            .filter(|&id| !self.vms[id].departed && self.vms[id].host == host)
+        let refugees: Vec<usize> = (0..self.state.vms.len())
+            .filter(|&id| !self.state.vms[id].departed && self.state.vms[id].host == host)
             .collect();
         for id in refugees {
             let (local, vcpus, name) = {
-                let e = &self.vms[id];
+                let e = &self.state.vms[id];
                 (e.local, e.vcpus, e.name.clone())
             };
             let dest = (0..self.hosts.len())
                 .filter(|&h| {
                     h != host
-                        && self.health[h] != HostHealth::Crashed
+                        && self.state.health[h] != HostHealth::Crashed
                         && vcpus <= self.hosts[h].config().pcpus
                 })
                 .min_by_key(|&h| {
-                    let degraded = self.health[h] != HostHealth::Healthy;
-                    let resident: usize = self
-                        .vms
-                        .iter()
-                        .filter(|e| !e.departed && e.host == h)
-                        .map(|e| e.vcpus)
-                        .sum();
-                    (degraded, resident, h)
+                    let degraded = self.state.health[h] != HostHealth::Healthy;
+                    (degraded, self.resident_vcpus(h), h)
                 })
                 .unwrap_or_else(|| {
                     panic!("evacuation failed: no live host can take vm {id} ({name})")
@@ -1134,7 +1113,7 @@ impl Cluster {
             // segments; fold the tail into this epoch's deltas so the
             // evacuation is charged for everything the guest ran.
             self.reconcile_extracted(id, image.counters());
-            let online_delta = self.vms[id].online_delta;
+            let online_delta = self.state.vms[id].online_delta;
             let dirty = self.cfg.model.dirty_pages(Cycles(online_delta));
             let pause = self.cfg.model.pause(dirty);
             let new_local = self.hosts[dest].inject_vm(image, now + pause);
@@ -1143,7 +1122,7 @@ impl Cluster {
                 from: host as u32,
                 to: dest as u32,
             });
-            self.evacuations.push(MigrationRecord {
+            self.state.evacuations.push(MigrationRecord {
                 epoch,
                 vm: id,
                 name,
@@ -1153,7 +1132,7 @@ impl Cluster {
                 dirty_pages: dirty,
                 pause: pause.as_u64(),
             });
-            let e = &mut self.vms[id];
+            let e = &mut self.state.vms[id];
             e.host = dest;
             e.local = new_local;
             e.last_migration = Some(epoch);
@@ -1161,9 +1140,9 @@ impl Cluster {
         }
         // Retry chains headed for (or rolling back onto) the dead host
         // cannot continue.
-        let before = self.pending.len();
-        self.pending.retain(|p| p.to != host);
-        self.retries_abandoned += (before - self.pending.len()) as u64;
+        let before = self.state.pending.len();
+        self.state.pending.retain(|p| p.to != host);
+        self.state.retries_abandoned += (before - self.state.pending.len()) as u64;
     }
 
     /// Re-check a due retry against the current cluster state: the VM
@@ -1172,11 +1151,11 @@ impl Cluster {
     /// not have become the VM's home (a crash evacuation may have
     /// re-placed it meanwhile).
     fn revalidate_retry(&mut self, p: PendingRetry) -> Option<(Move, u32, Option<u32>)> {
-        let stale = self.vms[p.vm].departed
-            || self.health[p.to] != HostHealth::Healthy
-            || self.vms[p.vm].host == p.to;
+        let stale = self.state.vms[p.vm].departed
+            || self.state.health[p.to] != HostHealth::Healthy
+            || self.state.vms[p.vm].host == p.to;
         if stale {
-            self.retries_abandoned += 1;
+            self.state.retries_abandoned += 1;
             return None;
         }
         Some((Move { vm: p.vm, to: p.to }, p.attempts + 1, Some(p.span)))
@@ -1189,7 +1168,7 @@ impl Cluster {
     /// accounting moves with the image), so the deltas stay monotone
     /// across migrations.
     fn collect_deltas(&mut self, telemetry: &[Vec<VmCounters>]) {
-        for e in &mut self.vms {
+        for e in &mut self.state.vms {
             // A departed entry's slot may belong to someone else now;
             // its deltas are zeroed so stale values cannot leak into a
             // later epoch's series sample.
@@ -1221,10 +1200,11 @@ impl Cluster {
                 .enumerate()
                 .map(|(h, m)| HostView {
                     pcpus: m.effective_pcpus(),
-                    admit: self.health[h] == HostHealth::Healthy,
+                    admit: self.state.health[h] == HostHealth::Healthy,
                 })
                 .collect(),
             vms: self
+                .state
                 .vms
                 .iter()
                 .map(|e| {
@@ -1279,7 +1259,7 @@ impl Cluster {
         span: Option<u32>,
     ) {
         let (from, local, name) = {
-            let e = &self.vms[mv.vm];
+            let e = &self.state.vms[mv.vm];
             (e.host, e.local, e.name.clone())
         };
         assert_ne!(from, mv.to, "balancer proposed a no-op move");
@@ -1288,8 +1268,8 @@ impl Cluster {
         // prepare/copy/abort/retry/commit lifecycle shares one causal
         // id in the flight stream.
         let span = span.unwrap_or_else(|| {
-            let s = self.next_span;
-            self.next_span += 1;
+            let s = self.state.next_span;
+            self.state.next_span += 1;
             s
         });
         if attempt > 1 {
@@ -1313,7 +1293,7 @@ impl Cluster {
         // deriving the copy cost: the dirty-page charge (and the audit's
         // re-derivation of it) must see everything the guest ran online.
         self.reconcile_extracted(mv.vm, image.counters());
-        let online_delta = self.vms[mv.vm].online_delta;
+        let online_delta = self.state.vms[mv.vm].online_delta;
         #[allow(unused_mut)]
         let mut dirty = self.cfg.model.dirty_pages(Cycles(online_delta));
         #[cfg(feature = "audit")]
@@ -1346,7 +1326,7 @@ impl Cluster {
                     attempt,
                 },
             );
-            self.aborts.push(AbortRecord {
+            self.state.aborts.push(AbortRecord {
                 epoch,
                 vm: mv.vm,
                 name,
@@ -1357,9 +1337,9 @@ impl Cluster {
                 dirty_pages: dirty,
                 penalty: penalty.as_u64(),
             });
-            self.vms[mv.vm].attempts = attempt;
+            self.state.vms[mv.vm].attempts = attempt;
             if attempt < self.cfg.retry_cap {
-                self.pending.push(PendingRetry {
+                self.state.pending.push(PendingRetry {
                     vm: mv.vm,
                     to: mv.to,
                     due: epoch + (1 << (attempt - 1)),
@@ -1367,8 +1347,8 @@ impl Cluster {
                     span,
                 });
             } else {
-                self.vms[mv.vm].gave_up = true;
-                self.gave_up += 1;
+                self.state.vms[mv.vm].gave_up = true;
+                self.state.gave_up += 1;
             }
             return;
         }
@@ -1385,7 +1365,7 @@ impl Cluster {
                 pause: pause.as_u64(),
             },
         );
-        self.records.push(MigrationRecord {
+        self.state.records.push(MigrationRecord {
             epoch,
             vm: mv.vm,
             name,
@@ -1396,9 +1376,9 @@ impl Cluster {
             pause: pause.as_u64(),
         });
         if attempt > 1 {
-            self.retries_committed += 1;
+            self.state.retries_committed += 1;
         }
-        let e = &mut self.vms[mv.vm];
+        let e = &mut self.state.vms[mv.vm];
         e.host = mv.to;
         e.local = new_local;
         e.last_migration = Some(epoch);
@@ -1420,7 +1400,7 @@ impl Cluster {
     ///   demands — e.g. the injected undercount fault — and any
     ///   rollback that forgot to clear the source tombstone).
     pub fn audit_check(&self) {
-        for (id, e) in self.vms.iter().enumerate() {
+        for (id, e) in self.state.vms.iter().enumerate() {
             if e.departed {
                 // A departed entry's host/local are frozen history; its
                 // slot may have been reused. The only invariant left is
@@ -1439,7 +1419,7 @@ impl Cluster {
                 id
             );
             assert!(
-                self.health[e.host] != HostHealth::Crashed,
+                self.state.health[e.host] != HostHealth::Crashed,
                 "cluster audit: registry vm {} resident on crashed host {}",
                 id,
                 e.host
@@ -1465,13 +1445,13 @@ impl Cluster {
             );
         }
         let live: usize = self.hosts.iter().map(|m| m.active_vm_count()).sum();
-        let resident = self.vms.iter().filter(|e| !e.departed).count();
+        let resident = self.state.vms.iter().filter(|e| !e.departed).count();
         assert_eq!(
             live, resident,
             "cluster audit: VM count not conserved ({} live vs {} resident)",
             live, resident
         );
-        for r in self.records.iter().chain(&self.evacuations) {
+        for r in self.state.records.iter().chain(&self.state.evacuations) {
             let dirty = self.cfg.model.dirty_pages(Cycles(r.online_delta));
             assert_eq!(
                 dirty, r.dirty_pages,
@@ -1486,7 +1466,7 @@ impl Cluster {
                 r.epoch
             );
         }
-        for a in &self.aborts {
+        for a in &self.state.aborts {
             let dirty = self.cfg.model.dirty_pages(Cycles(a.online_delta));
             assert_eq!(
                 dirty, a.dirty_pages,
@@ -1517,6 +1497,7 @@ impl Cluster {
     /// Final report from the registry and host state.
     pub fn report(&self) -> ClusterReport {
         let vm_rows: Vec<VmRow> = self
+            .state
             .vms
             .iter()
             .map(|e| {
@@ -1551,17 +1532,13 @@ impl Cluster {
                 host: h,
                 pcpus: m.config().pcpus,
                 vms: self
+                    .state
                     .vms
                     .iter()
                     .filter(|e| !e.departed && e.host == h)
                     .map(|e| e.name.clone())
                     .collect(),
-                resident_vcpus: self
-                    .vms
-                    .iter()
-                    .filter(|e| !e.departed && e.host == h)
-                    .map(|e| e.vcpus)
-                    .sum(),
+                resident_vcpus: self.resident_vcpus(h),
                 events_processed: m.events_processed(),
             })
             .collect();
@@ -1570,14 +1547,14 @@ impl Cluster {
         } else {
             Some(RecoveryReport {
                 plan: self.cfg.faults.clone(),
-                host_health: self.health.clone(),
-                aborts: self.aborts.clone(),
-                evacuations: self.evacuations.clone(),
-                retries_committed: self.retries_committed,
-                retries_abandoned: self.retries_abandoned,
-                gave_up: self.gave_up,
-                total_abort_penalty_cycles: self.aborts.iter().map(|a| a.penalty).sum(),
-                total_evacuation_pause_cycles: self.evacuations.iter().map(|r| r.pause).sum(),
+                host_health: self.state.health.clone(),
+                aborts: self.state.aborts.clone(),
+                evacuations: self.state.evacuations.clone(),
+                retries_committed: self.state.retries_committed,
+                retries_abandoned: self.state.retries_abandoned,
+                gave_up: self.state.gave_up,
+                total_abort_penalty_cycles: self.state.aborts.iter().map(|a| a.penalty).sum(),
+                total_evacuation_pause_cycles: self.state.evacuations.iter().map(|r| r.pause).sum(),
             })
         };
         let churn = if self.cfg.churn.is_empty() {
@@ -1585,25 +1562,25 @@ impl Cluster {
         } else {
             Some(ChurnReport {
                 plan: self.cfg.churn.clone(),
-                arrivals: self.arrivals,
-                departures: self.departures,
-                arrivals_rejected: self.arrivals_rejected,
-                departures_skipped: self.departures_skipped,
+                arrivals: self.state.arrivals,
+                departures: self.state.departures,
+                arrivals_rejected: self.state.arrivals_rejected,
+                departures_skipped: self.state.departures_skipped,
                 resident_end: self.resident_vm_count() as u64,
-                departed_finished: self.departed_finished,
+                departed_finished: self.state.departed_finished,
             })
         };
         ClusterReport {
             policy: self.cfg.policy.label(),
             hosts: self.hosts.len(),
-            epochs: self.epochs_run,
+            epochs: self.state.epoch,
             epoch_ms: self.cfg.epoch_ms,
             host_rows,
             total_spin_cycles: vm_rows.iter().map(|r| r.spin_cycles).sum(),
             total_useful_cycles: vm_rows.iter().map(|r| r.useful_cycles).sum(),
-            total_pause_cycles: self.records.iter().map(|r| r.pause).sum(),
+            total_pause_cycles: self.state.records.iter().map(|r| r.pause).sum(),
             vm_rows,
-            migrations: self.records.clone(),
+            migrations: self.state.records.clone(),
             recovery,
             churn,
         }
@@ -1635,7 +1612,7 @@ mod tests {
     fn one_epoch_with_spin_tail(c: &mut Cluster) -> Cycles {
         c.run_epoch();
         let end = c.epoch_cycles();
-        let e = &c.vms[GANG1];
+        let e = &c.state.vms[GANG1];
         let live = c.hosts[e.host].vm_counters(e.local);
         // Baseline sanity for the regression below: the tail exists at
         // this boundary only as an *open* segment — capture == stats.
@@ -1659,9 +1636,9 @@ mod tests {
     fn migration_reconciles_spin_tail_against_the_travelling_image() {
         let mut c = consolidation_cluster(migrating_cfg(), &ConsolidationSpec::default());
         let now = one_epoch_with_spin_tail(&mut c);
-        let delta_before = c.vms[GANG1].spin_delta;
+        let delta_before = c.state.vms[GANG1].spin_delta;
         c.execute_migration(1, Move { vm: GANG1, to: 1 }, now, 1, None);
-        let e = &c.vms[GANG1];
+        let e = &c.state.vms[GANG1];
         assert_eq!(e.host, 1, "forced move must have committed");
         let live = c.hosts[e.host].vm_counters(e.local);
         // Post-commit the destination slot holds exactly the image;
@@ -1697,11 +1674,11 @@ mod tests {
             &ConsolidationSpec::default(),
         );
         let now = one_epoch_with_spin_tail(&mut c);
-        let delta_before = c.vms[GANG1].spin_delta;
+        let delta_before = c.state.vms[GANG1].spin_delta;
         c.execute_migration(1, Move { vm: GANG1, to: 1 }, now, 1, None);
-        let e = &c.vms[GANG1];
+        let e = &c.state.vms[GANG1];
         assert_eq!(e.host, 0, "move must have aborted back to the source");
-        assert_eq!(c.aborts.len(), 1);
+        assert_eq!(c.state.aborts.len(), 1);
         let live = c.hosts[e.host].vm_counters(e.local);
         assert_eq!(
             (e.prev_spin, e.prev_vcrd_high, e.prev_online),
