@@ -119,14 +119,16 @@ impl ChurnPlan {
     }
 
     /// Parse the explicit DSL: comma-separated `arrive@E:gangN[:wW]`,
-    /// `arrive@E:bgN[:wW]` and `depart@E:hH:vV` tokens.
+    /// `arrive@E:bgN[:wW]` and `depart@E:hH:vV` tokens. An empty token
+    /// is an error naming its 1-based position, not a token to skip.
     pub fn parse(s: &str) -> Result<ChurnPlan, String> {
         let mut events = Vec::new();
-        for tok in s.split(',').map(str::trim).filter(|t| !t.is_empty()) {
+        for (i, tok) in s.split(',').map(str::trim).enumerate() {
+            if tok.is_empty() {
+                let at = i + 1;
+                return Err(format!("churn plan '{s}': empty token at position {at}"));
+            }
             events.push(parse_token(tok)?);
-        }
-        if events.is_empty() {
-            return Err(format!("churn plan '{s}' contains no events"));
         }
         let mut plan = ChurnPlan { events };
         plan.normalize();
@@ -412,6 +414,8 @@ mod tests {
     fn dsl_rejects_malformed_tokens() {
         for bad in [
             "",
+            "arrive@1:gang2,,",
+            ",depart@2:h0:v0",
             "boom@1:gang2",
             "arrive@x:gang2",
             "arrive@1",

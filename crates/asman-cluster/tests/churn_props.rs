@@ -16,8 +16,8 @@
 //!   full serialized report is byte-identical between `--jobs 1` and
 //!   `--jobs 4`, the same determinism contract the clean runs pin.
 //! * **A total DSL parser** — `ChurnSpec::parse` never panics, accepts
-//!   only plans in nondecreasing epoch order, and reads back any plan
-//!   written in the DSL.
+//!   only plans in nondecreasing epoch order, reads back any plan
+//!   written in the DSL, and rejects the plan with an empty token in it.
 
 use asman_cluster::{
     churn::ChurnEvent,
@@ -264,20 +264,23 @@ proptest! {
 
     /// Random events written as DSL tokens (with stray spaces around
     /// them, the default weight sometimes left out) parse back to the
-    /// same events, in stable epoch order.
+    /// same events, in stable epoch order. The same list with an empty
+    /// (or blank) token spliced in anywhere is rejected, naming the
+    /// token's position.
     #[test]
     fn churn_dsl_round_trips(
         events in vec(churn_event(), 1..12),
         pads in vec((0usize..3, 0usize..3, any::<bool>()), 12),
+        at in any::<usize>(),
     ) {
-        let s = events
+        let mut tokens: Vec<String> = events
             .iter()
             .zip(&pads)
             .map(|(ev, &(l, r, short))| {
                 format!("{}{}{}", " ".repeat(l), churn_token(ev, short), " ".repeat(r))
             })
-            .collect::<Vec<_>>()
-            .join(",");
+            .collect();
+        let s = tokens.join(",");
         // Stable epoch order, built without sorting.
         let mut want = Vec::new();
         for t in 0..=events.iter().map(|e| e.epoch).max().unwrap_or(0) {
@@ -287,6 +290,15 @@ proptest! {
             ChurnSpec::parse(&s),
             Ok(ChurnSpec::Explicit(ChurnPlan { events: want })),
             "{}", s
+        );
+
+        let at = at % (tokens.len() + 1);
+        tokens.insert(at, " ".repeat(pads[at].0));
+        let spliced = tokens.join(",");
+        let err = ChurnSpec::parse(&spliced).err().unwrap_or_default();
+        prop_assert!(
+            err.contains(&format!("empty token at position {}", at + 1)),
+            "{:?} gave {:?}", spliced, err
         );
     }
 }

@@ -256,18 +256,21 @@ proptest! {
     }
 
     /// Random events written as DSL tokens (with stray spaces around
-    /// them) parse back to the same events, in stable epoch order.
+    /// them) parse back to the same events, in stable epoch order. The
+    /// same list with an empty (or blank) token spliced in anywhere is
+    /// rejected, naming the token's position.
     #[test]
     fn fault_dsl_round_trips(
         events in vec(fault_event(), 1..12),
         pads in vec((0usize..3, 0usize..3), 12),
+        at in any::<usize>(),
     ) {
-        let s = events
+        let mut tokens: Vec<String> = events
             .iter()
             .zip(&pads)
             .map(|(ev, &(l, r))| format!("{}{}{}", " ".repeat(l), fault_token(ev), " ".repeat(r)))
-            .collect::<Vec<_>>()
-            .join(",");
+            .collect();
+        let s = tokens.join(",");
         // Stable epoch order, built without sorting.
         let mut want = Vec::new();
         for t in 0..=events.iter().map(|e| e.epoch).max().unwrap_or(0) {
@@ -278,6 +281,17 @@ proptest! {
             Ok(FaultSpec::Explicit(FaultPlan { events: want })),
             "{}",
             s
+        );
+
+        let at = at % (tokens.len() + 1);
+        tokens.insert(at, " ".repeat(pads[at].0));
+        let spliced = tokens.join(",");
+        let err = FaultSpec::parse(&spliced).err().unwrap_or_default();
+        prop_assert!(
+            err.contains(&format!("empty token at position {}", at + 1)),
+            "{:?} gave {:?}",
+            spliced,
+            err
         );
     }
 
