@@ -10,8 +10,6 @@
 //! VCRD returns to LOW; a further over-threshold wait instead invokes the
 //! next adjusting event (extending the coscheduling window).
 
-use std::sync::{Arc, Mutex};
-
 use asman_guest::{MonitorConfig, SpinObserver, Vcrd, VcrdUpdate};
 use asman_sim::{Cycles, SimRng};
 use serde::{Deserialize, Serialize};
@@ -41,10 +39,6 @@ pub struct AsmanMonitor {
     state: Vcrd,
     last_adjust_at: Option<Cycles>,
     stats: MonitorStats,
-    /// Optional externally-visible mirror of `stats` (the monitor is
-    /// boxed into the guest kernel, so callers that want to inspect it
-    /// after the run hold this handle).
-    shared: Option<Arc<Mutex<MonitorStats>>>,
 }
 
 impl AsmanMonitor {
@@ -58,21 +52,6 @@ impl AsmanMonitor {
             state: Vcrd::Low,
             last_adjust_at: None,
             stats: MonitorStats::default(),
-            shared: None,
-        }
-    }
-
-    /// Attach a shared statistics mirror and return the handle; every
-    /// update to the monitor's statistics is reflected into it.
-    pub fn share_stats(&mut self) -> Arc<Mutex<MonitorStats>> {
-        let h = Arc::new(Mutex::new(self.stats));
-        self.shared = Some(h.clone());
-        h
-    }
-
-    fn publish(&self) {
-        if let Some(h) = &self.shared {
-            *h.lock().expect("stats mirror poisoned") = self.stats;
         }
     }
 
@@ -114,7 +93,6 @@ impl SpinObserver for AsmanMonitor {
             self.stats.raises += 1;
         }
         self.state = Vcrd::High;
-        self.publish();
         Some(VcrdUpdate {
             vcrd: Vcrd::High,
             expire_in: Some(x),
@@ -130,7 +108,6 @@ impl SpinObserver for AsmanMonitor {
         // this timer): back to LOW.
         self.state = Vcrd::Low;
         self.stats.expiries += 1;
-        self.publish();
         Some(VcrdUpdate {
             vcrd: Vcrd::Low,
             expire_in: None,
@@ -193,17 +170,6 @@ mod tests {
         assert_eq!(m.stats().raises, 1);
         assert_eq!(m.stats().extensions, 1);
         assert_eq!(m.stats().adjust_events, 2);
-    }
-
-    #[test]
-    fn shared_stats_mirror_tracks_updates() {
-        let mut m = AsmanMonitor::with_defaults(1);
-        let h = m.share_stats();
-        assert_eq!(h.lock().unwrap().raises, 0);
-        m.on_spinlock_wait(ms(10), over());
-        assert_eq!(h.lock().unwrap().raises, 1);
-        m.on_vcrd_timer(ms(60));
-        assert_eq!(h.lock().unwrap().expiries, 1);
     }
 
     #[test]

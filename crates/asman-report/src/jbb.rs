@@ -89,13 +89,6 @@ impl JbbScenario {
         (1..=max_w).map(|w| self.run(w)).collect()
     }
 
-    /// [`JbbScenario::sweep`], with the per-warehouse machines fanned out
-    /// over `runner`'s worker pool. Point order (and every value) is
-    /// identical to the sequential sweep.
-    pub fn sweep_with(&self, max_w: usize, runner: &asman_sim::SweepRunner) -> Vec<JbbPoint> {
-        runner.map((1..=max_w).collect(), |w| self.run(w))
-    }
-
     /// The SPECjbb score: mean of the points with `warehouses >= vcpus`
     /// (the VM has 4 VCPUs).
     pub fn score(points: &[JbbPoint]) -> f64 {

@@ -24,7 +24,6 @@ pub mod audit;
 pub mod bisect;
 pub mod checkpoint;
 pub mod cluster;
-pub mod csv;
 pub mod extensions;
 pub mod figures;
 pub mod flightrec;
