@@ -537,11 +537,6 @@ impl Cluster {
         &self.hosts
     }
 
-    /// Current host of cluster VM `vm`.
-    pub fn vm_host(&self, vm: usize) -> usize {
-        self.state.vms[vm].host
-    }
-
     /// Registered VM count: every VM that ever lived in the cluster,
     /// including departed ones (cluster ids are stable for the run).
     pub fn vm_count(&self) -> usize {

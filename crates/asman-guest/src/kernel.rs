@@ -263,29 +263,9 @@ impl GuestKernel {
         &mut self.stats
     }
 
-    /// Execution state of thread `t` (diagnostics and tests).
-    pub fn thread_state(&self, t: usize) -> TState {
-        self.threads[t].state
-    }
-
-    /// Lock currently held by thread `t`, if any (diagnostics).
-    pub fn thread_held(&self, t: usize) -> Option<u32> {
-        self.threads[t].held
-    }
-
-    /// Holder of lock `l`, if any (diagnostics and tests).
-    pub fn lock_holder(&self, l: u32) -> Option<usize> {
-        self.locks[l as usize].holder
-    }
-
     /// Whether every thread has finished its program.
     pub fn is_finished(&self) -> bool {
         self.threads_done == self.threads.len()
-    }
-
-    /// Workload name.
-    pub fn workload_name(&self) -> &str {
-        self.program.name()
     }
 
     /// Threads currently in a timed sleep, as `(thread, absolute

@@ -86,6 +86,37 @@ struct Vcpu {
     runq_pos: usize,
 }
 
+impl Vcpu {
+    /// VCPU `slot` of VM `vm`, homed on PCPU `assigned`: Blocked since
+    /// `now`, unqueued, with no credit and cold caches. This is how a
+    /// VCPU enters a slot after construction; [`Machine::build`]
+    /// overrides it to Runnable, warm and queued.
+    fn new(vm: usize, slot: usize, assigned: usize, now: Cycles) -> Vcpu {
+        Vcpu {
+            vm,
+            slot,
+            state: VState::Blocked,
+            assigned,
+            credit: 0,
+            boost: false,
+            epoch: 0,
+            last_charge: now,
+            parked: false,
+            // The first dispatch pays the warm-up penalty: no working
+            // set has been built on this host.
+            cold: true,
+            last_ran: None,
+            spinning_since: None,
+            skew: Cycles::ZERO,
+            blocked_since: Some(now),
+            blocked_accum: Cycles::ZERO,
+            wake_at: None,
+            preempt_at: None,
+            runq_pos: NOT_QUEUED,
+        }
+    }
+}
+
 /// `runq_pos` sentinel for a VCPU that is not in any runqueue.
 const NOT_QUEUED: usize = usize::MAX;
 
@@ -124,6 +155,31 @@ struct Vm {
     generation: u32,
 }
 
+impl Vm {
+    /// A live VM made from `image` over the VCPUs `vcpu_ids`, its VMM
+    /// view of the VCRD LOW and its open spans starting at `now`.
+    fn new(image: VmImage, vcpu_ids: Vec<usize>, now: Cycles) -> Vm {
+        Vm {
+            name: image.name,
+            weight: image.weight,
+            cap: image.cap,
+            concurrent_hint: image.concurrent_hint,
+            finite: image.finite,
+            kernel: image.kernel,
+            vcpu_ids,
+            vcrd: Vcrd::Low,
+            vcrd_epoch: 0,
+            vcrd_high_since: now,
+            last_cosched: None,
+            acct: image.acct,
+            online_count: 0,
+            co_last: now,
+            evacuated: false,
+            generation: 0,
+        }
+    }
+}
+
 /// A VM lifted off its host for live migration: everything needed to
 /// resume it bit-exactly on another [`Machine`] via
 /// [`Machine::inject_vm`]. Produced by [`Machine::extract_vm`].
@@ -146,6 +202,22 @@ pub struct VmImage {
 }
 
 impl VmImage {
+    /// The image of a VM with zero history: `spec`'s guest kernel
+    /// freshly booted, its accounting empty.
+    fn boot(spec: VmSpec) -> VmImage {
+        let finite = spec.program.finite();
+        let kernel = GuestKernel::new(spec.program, spec.vcpus, spec.costs, spec.observer);
+        VmImage {
+            name: spec.name,
+            weight: spec.weight,
+            cap: spec.cap,
+            concurrent_hint: spec.concurrent_hint,
+            finite,
+            kernel,
+            acct: VmAccounting::new(spec.vcpus),
+        }
+    }
+
     /// Number of VCPUs the destination host must provide.
     pub fn vcpus(&self) -> usize {
         self.kernel.vcpu_count()
@@ -306,11 +378,6 @@ pub struct Machine<Q: SimQueue<Ev> = EventQueue<Ev>> {
     /// population experiments keep their exact slot layout and digests;
     /// churned soaks enable it to bound slot growth.
     reuse_slots: bool,
-    /// Flight-recorder arming spec (`mask`, per-category capacity),
-    /// remembered so guests injected or created *after*
-    /// [`Machine::enable_flight`] get recorders too — enablement at one
-    /// instant must not silently exempt later arrivals.
-    flight_spec: Option<(CatMask, usize)>,
     /// Invariant-auditor state (shadow ledgers, injected mutations).
     /// Costs nothing unless the `audit` feature is compiled in.
     #[cfg(feature = "audit")]
@@ -433,55 +500,22 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
                 "a VM cannot have more VCPUs than the machine has PCPUs"
             );
             total_weight += spec.weight as u64;
-            let finite = spec.program.finite();
-            let kernel = GuestKernel::new(spec.program, spec.vcpus, spec.costs, spec.observer);
-            let mut vcpu_ids = Vec::with_capacity(spec.vcpus);
-            for slot in 0..spec.vcpus {
-                let id = vcpus.len();
-                vcpu_ids.push(id);
+            let image = VmImage::boot(spec);
+            let first = vcpus.len();
+            for slot in 0..image.vcpus() {
                 let assigned = next_pcpu % cfg.pcpus;
                 next_pcpu += 1;
                 let runq_pos = pcpus[assigned].runq.len();
-                pcpus[assigned].runq.push(id);
+                pcpus[assigned].runq.push(vcpus.len());
                 vcpus.push(Vcpu {
-                    vm: vm_idx,
-                    slot,
                     state: VState::Runnable,
-                    assigned,
-                    credit: 0,
-                    boost: false,
-                    epoch: 0,
-                    last_charge: Cycles::ZERO,
-                    parked: false,
-                    cold: false,
-                    last_ran: None,
-                    spinning_since: None,
-                    skew: Cycles::ZERO,
                     blocked_since: None,
-                    blocked_accum: Cycles::ZERO,
-                    wake_at: None,
-                    preempt_at: None,
+                    cold: false,
                     runq_pos,
+                    ..Vcpu::new(vm_idx, slot, assigned, Cycles::ZERO)
                 });
             }
-            vms.push(Vm {
-                name: spec.name,
-                weight: spec.weight,
-                cap: spec.cap,
-                concurrent_hint: spec.concurrent_hint,
-                finite,
-                kernel,
-                vcpu_ids,
-                vcrd: Vcrd::Low,
-                vcrd_epoch: 0,
-                vcrd_high_since: Cycles::ZERO,
-                last_cosched: None,
-                acct: VmAccounting::new(spec.vcpus),
-                online_count: 0,
-                co_last: Cycles::ZERO,
-                evacuated: false,
-                generation: 0,
-            });
+            vms.push(Vm::new(image, (first..vcpus.len()).collect(), Cycles::ZERO));
         }
         // All PCPUs start idle; the initial runqueues are all non-empty
         // or empty per the round-robin spread above.
@@ -520,7 +554,6 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
             derate_pct: 0,
             lat: None,
             reuse_slots: false,
-            flight_spec: None,
             cfg,
         };
         // Initial credit: one assignment interval's worth, so the first
@@ -560,11 +593,6 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
     pub fn set_capacity_derate(&mut self, pct: u32) {
         assert!(pct < 100, "a 100% derate is a crash, not a slowdown");
         self.derate_pct = pct;
-    }
-
-    /// Current advertised capacity derate in percent (0 = healthy).
-    pub fn capacity_derate(&self) -> u32 {
-        self.derate_pct
     }
 
     /// PCPUs advertised to cluster admission control after the derate,
@@ -782,10 +810,11 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
     /// Start flight-recording: the hypervisor records the sched, credit
     /// and cosched categories of `mask`, and every VM's guest kernel
     /// records the lock, futex and barrier categories; each category
-    /// retains at most `capacity` events per layer.
+    /// retains at most `capacity` events per layer. The hypervisor's
+    /// recorder is the standing spec: a VM that enters a slot later
+    /// gets a guest recorder with the same mask and capacity.
     pub fn enable_flight(&mut self, mask: CatMask, capacity: usize) {
         self.flight = FlightRecorder::labeled(mask, capacity, "hypervisor");
-        self.flight_spec = Some((mask, capacity));
         for vm in &mut self.vms {
             vm.kernel.enable_flight(mask, capacity);
         }
@@ -1020,11 +1049,6 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
         self.reuse_slots = true;
     }
 
-    /// Credit-scheduler weight of a VM.
-    pub fn vm_weight(&self, vm: usize) -> u32 {
-        self.vms[vm].weight
-    }
-
     /// VMs currently resident on this host (tombstones excluded).
     pub fn active_vm_count(&self) -> usize {
         self.vms.iter().filter(|v| !v.evacuated).count()
@@ -1177,6 +1201,15 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
     /// then, and sleep deadlines that expired during the pause fire
     /// late. Must be called between run drivers, with
     /// `resume_at >= now`. Returns the VM's index on this host.
+    ///
+    /// The VM gets a new slot, or, with [`Machine::enable_slot_reuse`]
+    /// armed, the lowest-index tombstone of its VCPU count. A reused
+    /// slot's generation is bumped first, so every wake or sleep timer
+    /// still in flight for the previous occupant dies at delivery — a
+    /// wake for VM A must never start VM B — and its VCPUs are reset
+    /// cold, exactly as a new slot's (home PCPU by slot index, no
+    /// latency stamps or spin residue); `epoch` and `vcrd_epoch` stay
+    /// monotone so events from older incarnations remain dead.
     pub fn inject_vm(&mut self, image: VmImage, resume_at: Cycles) -> usize {
         let vcpu_count = image.vcpus();
         assert!(
@@ -1184,141 +1217,81 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
             "a VM cannot have more VCPUs than the destination has PCPUs"
         );
         assert!(vcpu_count > 0, "cannot inject a VM with no VCPUs");
-        if self.reuse_slots {
-            if let Some(slot) = self.reusable_tombstone(vcpu_count) {
-                return self.inject_into_tombstone(slot, image, resume_at);
+        let vm = match self.reusable_tombstone(vcpu_count) {
+            Some(vm) => {
+                debug_assert!(self.vms[vm].evacuated, "reuse target must be a tombstone");
+                self.vms[vm].generation = self.vms[vm].generation.wrapping_add(1);
+                for &v in &self.vms[vm].vcpu_ids {
+                    let vc = &self.vcpus[v];
+                    debug_assert_eq!(vc.state, VState::Blocked);
+                    debug_assert_eq!(vc.runq_pos, NOT_QUEUED);
+                    self.vcpus[v] = Vcpu {
+                        epoch: vc.epoch,
+                        ..Vcpu::new(vm, vc.slot, vc.slot % self.cfg.pcpus, self.now)
+                    };
+                }
+                self.refill_tombstone(vm, image);
+                vm
             }
-        }
-        let vm_idx = self.vms.len();
-        let resume = resume_at.max(self.now);
-        let mut vcpu_ids = Vec::with_capacity(vcpu_count);
-        for slot in 0..vcpu_count {
-            let id = self.vcpus.len();
-            vcpu_ids.push(id);
-            self.vcpus.push(Vcpu {
-                vm: vm_idx,
-                slot,
-                state: VState::Blocked,
-                assigned: slot % self.cfg.pcpus,
-                credit: 0,
-                boost: false,
-                epoch: 0,
-                last_charge: self.now,
-                parked: false,
-                // First dispatch on the new host pays the warm-up
-                // penalty: the working set did not travel.
-                cold: true,
-                last_ran: None,
-                spinning_since: None,
-                skew: Cycles::ZERO,
-                blocked_since: Some(self.now),
-                blocked_accum: Cycles::ZERO,
-                wake_at: None,
-                preempt_at: None,
-                runq_pos: NOT_QUEUED,
-            });
-        }
-        self.total_weight += image.weight as u64;
-        #[cfg(feature = "audit")]
-        self.audit.ledger.push(0);
-        // Re-arm what the source host's event queue held in flight:
-        // wakes for currently runnable VCPUs (delivered when the pause
-        // ends) and one timer per sleeping thread (late if the deadline
-        // fell inside the pause — migration dead time is guest-visible).
-        for (slot, &vcpu) in vcpu_ids.iter().enumerate() {
-            if image.kernel.vcpu_runnable(slot) {
-                self.events.schedule(
-                    resume,
-                    Ev::Wake {
-                        vcpu: vcpu as u32,
-                        gen: 0,
-                    },
-                );
+            None => {
+                let vm = self.vms.len();
+                let first = self.vcpus.len();
+                for slot in 0..vcpu_count {
+                    self.vcpus
+                        .push(Vcpu::new(vm, slot, slot % self.cfg.pcpus, self.now));
+                }
+                let vcpu_ids = (first..self.vcpus.len()).collect();
+                self.vms.push(Vm::new(image, vcpu_ids, self.now));
+                #[cfg(feature = "audit")]
+                self.audit.ledger.push(0);
+                vm
             }
-        }
-        for (thread, until) in image.kernel.sleeping_threads() {
-            self.events.schedule(
-                until.max(resume),
-                Ev::SleepTimer {
-                    vm: vm_idx as u32,
-                    thread: thread as u32,
-                    gen: 0,
-                },
-            );
-        }
-        self.vms.push(Vm {
-            name: image.name,
-            weight: image.weight,
-            cap: image.cap,
-            concurrent_hint: image.concurrent_hint,
-            finite: image.finite,
-            kernel: image.kernel,
-            vcpu_ids,
-            vcrd: Vcrd::Low,
-            vcrd_epoch: 0,
-            vcrd_high_since: self.now,
-            last_cosched: None,
-            acct: image.acct,
-            online_count: 0,
-            co_last: self.now,
-            evacuated: false,
-            generation: 0,
-        });
-        self.arm_late_guest_telemetry(vm_idx);
-        vm_idx
+        };
+        self.resume(vm, resume_at);
+        vm
     }
 
-    /// Lowest-index tombstone slot whose VCPU count matches, if any.
+    /// Lowest-index tombstone slot whose VCPU count matches, if slot
+    /// reuse is on and there is one.
     fn reusable_tombstone(&self, vcpus: usize) -> Option<usize> {
+        if !self.reuse_slots {
+            return None;
+        }
         self.vms
             .iter()
             .position(|v| v.evacuated && v.vcpu_ids.len() == vcpus)
     }
 
-    /// Resume `image` in a reused tombstone slot: the slot-recycling arm
-    /// of [`Machine::inject_vm`]. The slot's generation is bumped first,
-    /// so every wake or sleep timer still in flight for the previous
-    /// occupant dies at delivery — a wake for VM A must never start
-    /// VM B. VCPU scheduler state is reset to exactly what a freshly
-    /// appended slot would get (home PCPU by slot index, cold caches, no
-    /// latency stamps or spin residue); `epoch` and `vcrd_epoch` stay
-    /// monotone so events from older incarnations remain dead.
-    fn inject_into_tombstone(&mut self, vm: usize, image: VmImage, resume_at: Cycles) -> usize {
-        debug_assert!(self.vms[vm].evacuated, "reuse target must be a tombstone");
+    /// Move `image` into tombstone slot `vm`. The slot keeps its VCPUs,
+    /// its generation and its `vcrd_epoch` (so VCRD timers of the
+    /// extracted incarnation stay dead); the rest is what a new slot
+    /// gets, the VMM's view of the VCRD restarting LOW.
+    fn refill_tombstone(&mut self, vm: usize, image: VmImage) {
+        let old = &mut self.vms[vm];
+        debug_assert_eq!(old.online_count, 0, "a tombstone cannot have online VCPUs");
+        let vcpu_ids = std::mem::take(&mut old.vcpu_ids);
+        *old = Vm {
+            vcrd_epoch: old.vcrd_epoch,
+            generation: old.generation,
+            ..Vm::new(image, vcpu_ids, self.now)
+        };
+    }
+
+    /// Resume the VM just put into slot `vm`; every way a VM enters a
+    /// slot after construction ends here. It re-arms what a source
+    /// host's event queue held in flight, under the slot's generation:
+    /// a wake at `resume_at` for each runnable VCPU, then one timer per
+    /// sleeping thread at its deadline or `resume_at`, whichever is
+    /// later. The VM's weight rejoins the credit pool, and its credits
+    /// (zeroed at extraction, or never assigned) start the shadow
+    /// ledger at zero; the next assignment funds it. The machine's
+    /// standing guest telemetry is armed where the kernel lacks it: a
+    /// travelling kernel that already records keeps its history.
+    fn resume(&mut self, vm: usize, resume_at: Cycles) {
         let resume = resume_at.max(self.now);
-        self.vms[vm].generation = self.vms[vm].generation.wrapping_add(1);
         let gen = self.vms[vm].generation;
-        for i in 0..self.vms[vm].vcpu_ids.len() {
-            let v = self.vms[vm].vcpu_ids[i];
-            let slot = self.vcpus[v].slot;
-            let vc = &mut self.vcpus[v];
-            debug_assert_eq!(vc.state, VState::Blocked);
-            debug_assert_eq!(vc.runq_pos, NOT_QUEUED);
-            vc.assigned = slot % self.cfg.pcpus;
-            vc.credit = 0;
-            vc.boost = false;
-            vc.parked = false;
-            // First dispatch pays warm-up: the working set did not
-            // travel, and the previous occupant's footprint is gone.
-            vc.cold = true;
-            vc.last_ran = None;
-            vc.spinning_since = None;
-            vc.skew = Cycles::ZERO;
-            vc.last_charge = self.now;
-            vc.blocked_since = Some(self.now);
-            vc.blocked_accum = Cycles::ZERO;
-            // Stale stamps from the previous occupant must not be
-            // consumed by this VM's first dispatches.
-            vc.wake_at = None;
-            vc.preempt_at = None;
-        }
-        self.total_weight += image.weight as u64;
-        #[cfg(feature = "audit")]
-        {
-            self.audit.ledger[vm] = 0;
-        }
         for (slot, &vcpu) in self.vms[vm].vcpu_ids.iter().enumerate() {
-            if image.kernel.vcpu_runnable(slot) {
+            if self.vms[vm].kernel.vcpu_runnable(slot) {
                 self.events.schedule(
                     resume,
                     Ev::Wake {
@@ -1328,7 +1301,7 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
                 );
             }
         }
-        for (thread, until) in image.kernel.sleeping_threads() {
+        for (thread, until) in self.vms[vm].kernel.sleeping_threads() {
             self.events.schedule(
                 until.max(resume),
                 Ev::SleepTimer {
@@ -1338,50 +1311,35 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
                 },
             );
         }
-        let v = &mut self.vms[vm];
-        debug_assert_eq!(v.online_count, 0, "a tombstone cannot have online VCPUs");
-        v.name = image.name;
-        v.weight = image.weight;
-        v.cap = image.cap;
-        v.concurrent_hint = image.concurrent_hint;
-        v.finite = image.finite;
-        v.kernel = image.kernel;
-        v.acct = image.acct;
-        // The VMM view restarts LOW, exactly as on an appended slot.
-        v.vcrd = Vcrd::Low;
-        v.vcrd_high_since = self.now;
-        v.last_cosched = None;
-        v.co_last = self.now;
-        v.evacuated = false;
-        self.arm_late_guest_telemetry(vm);
-        vm
-    }
-
-    /// Arm flight recording and spin-episode telemetry on a VM injected
-    /// or created after the machine-wide enables ran. Guarded so a
-    /// travelling kernel that already carries a recorder or histogram
-    /// keeps it — late arming must fill gaps, never clobber history.
-    fn arm_late_guest_telemetry(&mut self, vm: usize) {
-        if let Some((mask, capacity)) = self.flight_spec {
-            if !self.vms[vm].kernel.flight().is_enabled() {
-                self.vms[vm].kernel.enable_flight(mask, capacity);
-            }
+        self.total_weight += self.vms[vm].weight as u64;
+        #[cfg(feature = "audit")]
+        {
+            self.audit.ledger[vm] = 0;
         }
-        if self.lat.is_some() && self.vms[vm].kernel.stats().spin_episodes.is_none() {
-            self.vms[vm].kernel.enable_spin_episodes();
+        let kernel = &mut self.vms[vm].kernel;
+        if self.flight.is_enabled() && !kernel.flight().is_enabled() {
+            kernel.enable_flight(self.flight.mask(), self.flight.capacity());
+        }
+        if self.lat.is_some() {
+            kernel.enable_spin_episodes();
         }
     }
 
     /// Roll back an aborted migration: re-inject `image` into the
     /// tombstone slot it was extracted from on *this* host. The inverse
-    /// of [`Machine::extract_vm`], with [`Machine::inject_vm`]'s resume
-    /// semantics: runnable VCPUs wake at `resume_at` (the abort
-    /// penalty's end) and sleep deadlines that expired during the
-    /// penalty fire late. Unlike injection the working set never left
-    /// this host, so no cold-dispatch penalty is charged, and wake or
-    /// sleep events still in flight from before the extraction deliver
-    /// normally — the guest never actually stopped being resident. Must
-    /// be called between run drivers, like extract/inject.
+    /// of [`Machine::extract_vm`], resumed like [`Machine::inject_vm`]:
+    /// runnable VCPUs wake at `resume_at` (the abort penalty's end) and
+    /// each sleeping thread gets a timer at its deadline or `resume_at`,
+    /// whichever is later. Unlike injection the working set never left
+    /// this host, so the VCPUs are not reset and no cold-dispatch
+    /// penalty is charged, and the generation is not bumped. Events
+    /// armed before the extraction therefore still deliver once the
+    /// slot is live again: a sleep timer whose deadline falls inside
+    /// the penalty fires on time, and its thread runs during the
+    /// penalty rather than after it. (Bumping the generation here would
+    /// hold it to the penalty's end, but changes the state fingerprint
+    /// of every run with an abort.) Must be called between run drivers,
+    /// like extract/inject.
     pub fn undo_extract_vm(&mut self, vm: usize, image: VmImage, resume_at: Cycles) {
         assert!(
             self.vms[vm].evacuated,
@@ -1392,55 +1350,8 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
             self.vms[vm].vcpu_ids.len(),
             "undo_extract_vm: image shape does not match the tombstone"
         );
-        let resume = resume_at.max(self.now);
-        let weight = image.weight as u64;
-        // The generation is NOT bumped on a rollback: the slot was never
-        // reused, so pre-extraction wakes and timers stay valid — the
-        // guest never actually stopped being resident.
-        let gen = self.vms[vm].generation;
-        // Re-arm what inject_vm would have armed on a destination:
-        // wakes for runnable VCPUs at the penalty's end, one timer per
-        // sleeping thread.
-        for (slot, &vcpu) in self.vms[vm].vcpu_ids.iter().enumerate() {
-            if image.kernel.vcpu_runnable(slot) {
-                self.events.schedule(
-                    resume,
-                    Ev::Wake {
-                        vcpu: vcpu as u32,
-                        gen,
-                    },
-                );
-            }
-        }
-        for (thread, until) in image.kernel.sleeping_threads() {
-            self.events.schedule(
-                until.max(resume),
-                Ev::SleepTimer {
-                    vm: vm as u32,
-                    thread: thread as u32,
-                    gen,
-                },
-            );
-        }
-        let v = &mut self.vms[vm];
-        debug_assert_eq!(v.online_count, 0, "a tombstone cannot have online VCPUs");
-        v.name = image.name;
-        v.weight = image.weight;
-        v.cap = image.cap;
-        v.concurrent_hint = image.concurrent_hint;
-        v.finite = image.finite;
-        v.kernel = image.kernel;
-        v.acct = image.acct;
-        // The VMM view restarts LOW, exactly as on a destination host;
-        // vcrd_epoch stays bumped so pre-extraction timers stay dead.
-        v.vcrd = Vcrd::Low;
-        v.vcrd_high_since = self.now;
-        v.last_cosched = None;
-        v.co_last = self.now;
-        v.evacuated = false;
-        self.total_weight += weight;
-        // Credits were zeroed at extraction and stay zero (the shadow
-        // ledger already agrees); the next assignment funds the VM.
+        self.refill_tombstone(vm, image);
+        self.resume(vm, resume_at);
     }
 
     /// Boot a brand-new VM on this host at an epoch boundary. The spec
@@ -1452,19 +1363,7 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
     /// next credit assignment funds it. Must be called between run
     /// drivers. Returns the VM's slot index.
     pub fn create_vm(&mut self, spec: VmSpec, start_at: Cycles) -> usize {
-        let finite = spec.program.finite();
-        let vcpus = spec.vcpus;
-        let kernel = GuestKernel::new(spec.program, vcpus, spec.costs, spec.observer);
-        let image = VmImage {
-            name: spec.name,
-            weight: spec.weight,
-            cap: spec.cap,
-            concurrent_hint: spec.concurrent_hint,
-            finite,
-            kernel,
-            acct: VmAccounting::new(vcpus),
-        };
-        self.inject_vm(image, start_at)
+        self.inject_vm(VmImage::boot(spec), start_at)
     }
 
     /// Permanently remove a VM from the simulation at an epoch boundary:
@@ -2498,10 +2397,24 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
     /// including its guest kernel and accounting. Two machines with
     /// equal fingerprints (built from the same configuration) produce
     /// identical futures, so the checkpoint subsystem compares this
-    /// between a restored host and its straight-through twin. Wall-time
-    /// and telemetry-only state (run timers, flight buffers, schedule
-    /// traces, latency histograms) is deliberately excluded: it never
-    /// feeds back into scheduling decisions.
+    /// between a restored host and its straight-through twin. Wall time
+    /// (run timers) and most telemetry (flight buffers, latency
+    /// histograms) are left out: they never feed back into scheduling
+    /// decisions. Three pieces of telemetry are folded all the same:
+    ///
+    /// * the VCPUs' `wake_at`/`preempt_at` stamps, taken only while
+    ///   scheduler-latency telemetry is armed;
+    /// * the lengths of the flight streams adopted from extracted
+    ///   guests, non-empty only with flight recording armed across a
+    ///   migration;
+    /// * through [`GuestKernel::fold_state`], whether each guest counts
+    ///   spin episodes (armed with scheduler latency) and how many.
+    ///
+    /// So a checkpoint of a run with scheduler latency armed, or with
+    /// flight recording armed across a migration, validates only
+    /// against a replay armed the same way. Leaving them out would
+    /// change every fingerprint's bytes, so that waits for a change
+    /// that re-pins the digests.
     pub fn state_fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
         h.write_u64(self.now.as_u64());

@@ -61,16 +61,6 @@ impl VmAccounting {
         }
     }
 
-    /// Of the time spent with VCRD HIGH, the fraction with all VCPUs
-    /// online simultaneously.
-    pub fn high_all_online_frac(&self) -> f64 {
-        let total: u64 = self.co_online_high.iter().map(|c| c.as_u64()).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        self.co_online_high.last().map(|c| c.as_u64()).unwrap_or(0) as f64 / total as f64
-    }
-
     /// Fraction of `elapsed` during which **all** VCPUs were online
     /// simultaneously (the coscheduling quality metric).
     pub fn all_online_frac(&self, elapsed: Cycles) -> f64 {

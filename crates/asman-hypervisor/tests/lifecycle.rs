@@ -1,7 +1,8 @@
 //! VM lifecycle integration tests: mid-run creation, destruction,
-//! tombstone slot reuse with generation counters, and the state-lifetime
-//! regressions the long-horizon soak flushed out (stale wakes into a
-//! reused slot, stale scheduler-latency stamps, late telemetry arming).
+//! tombstone slot reuse with generation counters, an aborted
+//! migration's rollback, and the state-lifetime regressions the
+//! long-horizon soak flushed out (stale wakes into a reused slot, stale
+//! scheduler-latency stamps, late telemetry arming).
 
 use asman_hypervisor::{Machine, MachineConfig, VmSpec};
 use asman_sim::{Clock, Cycles};
@@ -91,6 +92,47 @@ fn slot_reuse_is_opt_in_and_bumps_the_generation() {
     assert_eq!(mismatched, 3, "slot 2's tombstone has 1 VCPU, not 2");
     m.run_until(clk().ms(5));
     assert!(m.vm_counters(reused).online > 0, "reused slot must run");
+}
+
+/// An aborted migration's rollback puts the image back into its own
+/// tombstone: the slot is live again under the same generation (a
+/// rollback is not a reuse), and the VM's runnable VCPUs stay off the
+/// PCPUs until the abort penalty ends.
+#[test]
+fn rollback_resumes_the_slot_after_the_penalty() {
+    let mut m = Machine::new(
+        MachineConfig {
+            pcpus: 2,
+            ..MachineConfig::default()
+        },
+        vec![
+            VmSpec::new("a", 2, busy("a", 2)),
+            VmSpec::new("b", 2, busy("b", 2)),
+        ],
+    );
+    m.run_until(clk().ms(2));
+    let image = m.extract_vm(0);
+    assert_eq!(m.active_vm_count(), 1);
+    // The penalty runs from the extraction at 2 ms to 6 ms.
+    m.undo_extract_vm(0, image, clk().ms(6));
+    assert!(!m.vm_evacuated(0), "the rollback must make the slot live");
+    assert_eq!(m.vm_generation(0), 0, "a rollback must keep the generation");
+    assert_eq!(m.active_vm_count(), 2);
+    // Both of "a"'s VCPUs ran the first 2 ms: 9,320,000 cycles at the
+    // default 2.33 GHz.
+    let frozen = m.vm_counters(0).online;
+    assert_eq!(frozen, clk().ms(4).as_u64());
+    m.run_until(clk().ms(6));
+    assert_eq!(
+        m.vm_counters(0).online,
+        frozen,
+        "the rolled-back VM ran inside the abort penalty"
+    );
+    m.run_until(clk().ms(10));
+    assert!(
+        m.vm_counters(0).online > frozen,
+        "the rolled-back VM must run once the penalty ends"
+    );
 }
 
 /// Regression (generation guard): a wake armed for one incarnation of a

@@ -594,6 +594,11 @@ impl FlightRecorder {
         CatMask(self.mask & CatMask::ALL.0)
     }
 
+    /// The most events each category retains.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Whether the overflow warning for `cat` has fired. The warning is
     /// emitted at most once per category per drain cycle, however many
     /// events are dropped.
