@@ -22,10 +22,13 @@
 //!
 //! The control state has one representation: the cluster holds it as
 //! a [`ClusterState`] and mutates it in place, so capture is a clone
-//! and apply an assignment. Its encoding is derived (`Serialize` emits
-//! fields in declaration order); the decoder is written by hand, so a
-//! malformed artifact is refused with the path of the failing field
-//! (`state.vms[3].last_migration: not null or an unsigned integer`).
+//! and apply an assignment. Its elements derive both `Serialize`
+//! (fields in declaration order) and `Deserialize`, so each has one
+//! schema, and a malformed artifact is refused with the path of the
+//! failing field (`state.vms[3].last_migration: not an unsigned
+//! integer`). Only what the format itself fixes is decoded by hand:
+//! the artifact header, the flattened `config` section, and the
+//! version-1 forms of `state.pending`.
 //!
 //! Restore = rebuild from the configuration, replay to `E`, validate
 //! the replayed state against the artifact field-by-field
@@ -38,12 +41,12 @@
 //! divergence detector of the `repro bisect` driver.
 
 use crate::balancer::Policy;
-use crate::churn::{ChurnEvent, ChurnKind, ChurnPlan, ShapeKind, VmShape};
+use crate::churn::ChurnPlan;
 use crate::migration::{AbortRecord, MigrationModel, MigrationRecord};
 use crate::scenario::{consolidation_cluster, ConsolidationSpec};
-use crate::{Cluster, ClusterConfig, HostHealth, PendingRetry, VmEntry, VmRow};
-use asman_sim::{Cycles, FaultEvent, FaultKind, FaultPlan, Fnv};
-use serde::{Serialize, Value};
+use crate::{Cluster, ClusterConfig, HostHealth, PendingRetry, VmEntry};
+use asman_sim::{FaultPlan, Fnv};
+use serde::{field, Deserialize, Serialize, Value};
 
 /// Artifact type tag (`"kind"` field of every checkpoint file).
 pub const CKPT_KIND: &str = "asman-ckpt";
@@ -156,41 +159,37 @@ impl CheckpointConfig {
         ])
     }
 
-    /// Decode the artifact's `config` section.
+    /// Decode the artifact's `config` section: the scenario's fields
+    /// at its top level, the policy as its label, and no `max_moves`
+    /// in version 1. Errors name the path below the section, as
+    /// [`Deserialize::from_value`] does (`.faults.events[0].epoch: not
+    /// an unsigned integer`).
     pub fn from_value(v: &Value) -> Result<CheckpointConfig, String> {
-        let p = "config";
-        let policy_label = get_str(v, "policy", p)?;
-        let policy = Policy::parse(policy_label)
-            .ok_or_else(|| format!("{p}.policy: unknown policy '{policy_label}'"))?;
-        let model_v = need(v, "model", p)?;
-        let model = MigrationModel {
-            base_pages: get_u64(model_v, "base_pages", "config.model")?,
-            dirty_pages_per_mcycle: get_u64(model_v, "dirty_pages_per_mcycle", "config.model")?,
-            copy_cycles_per_page: get_u64(model_v, "copy_cycles_per_page", "config.model")?,
-            downtime_base: Cycles(get_u64(model_v, "downtime_base", "config.model")?),
-        };
+        let label: String = field(v, "policy")?;
+        let policy =
+            Policy::parse(&label).ok_or_else(|| format!(".policy: unknown policy '{label}'"))?;
         Ok(CheckpointConfig {
             scenario: ConsolidationSpec {
-                hosts: get_usize(v, "hosts", p)?,
-                gangs: get_usize(v, "gangs", p)?,
-                pcpus: get_usize(v, "pcpus", p)?,
-                seed: get_u64(v, "seed", p)?,
+                hosts: field(v, "hosts")?,
+                gangs: field(v, "gangs")?,
+                pcpus: field(v, "pcpus")?,
+                seed: field(v, "seed")?,
             },
-            epoch_ms: get_u64(v, "epoch_ms", p)?,
-            epochs: get_u64(v, "epochs", p)?,
+            epoch_ms: field(v, "epoch_ms")?,
+            epochs: field(v, "epochs")?,
             policy,
-            cooldown_epochs: get_u64(v, "cooldown_epochs", p)?,
-            retry_cap: get_u32(v, "retry_cap", p)?,
-            audit_every: get_u64(v, "audit_every", p)?,
-            model,
-            faults: decode_fault_plan(need(v, "faults", p)?)?,
-            churn: decode_churn_plan(need(v, "churn", p)?)?,
-            slot_reuse: get_bool(v, "slot_reuse", p)?,
-            series_capacity: get_usize(v, "series_capacity", p)?,
+            cooldown_epochs: field(v, "cooldown_epochs")?,
+            retry_cap: field(v, "retry_cap")?,
+            audit_every: field(v, "audit_every")?,
+            model: field(v, "model")?,
+            faults: field(v, "faults")?,
+            churn: field(v, "churn")?,
+            slot_reuse: field(v, "slot_reuse")?,
+            series_capacity: field(v, "series_capacity")?,
             // Absent in version-1 artifacts, which ran the historical
             // single-slot driver: default to a budget of 1.
             max_moves: match v.get("max_moves") {
-                Some(_) => get_usize(v, "max_moves", p)?,
+                Some(_) => field(v, "max_moves")?,
                 None => 1,
             },
         })
@@ -243,55 +242,34 @@ pub struct ClusterState {
 }
 
 impl ClusterState {
-    /// Decode the artifact's `state` section.
+    /// Decode the artifact's `state` section. Errors name the path
+    /// below the section, as [`Deserialize::from_value`] does.
     pub fn from_value(v: &Value) -> Result<ClusterState, String> {
-        let p = "state";
-        let health_v = need(v, "health", p)?
-            .as_array()
-            .ok_or_else(|| format!("{p}.health: not an array"))?;
-        let health = health_v
-            .iter()
-            .enumerate()
-            .map(|(i, h)| decode_health(h, &format!("{p}.health[{i}]")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let vms_v = need(v, "vms", p)?
-            .as_array()
-            .ok_or_else(|| format!("{p}.vms: not an array"))?;
-        let vms = vms_v
-            .iter()
-            .enumerate()
-            .map(|(i, e)| decode_vm_entry(e, &format!("{p}.vms[{i}]")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let pending_v = need(v, "pending", p)?;
-        let pending = match pending_v {
-            // Version 1: no chain backing off.
-            Value::Null => Vec::new(),
-            // Version 2: the ordered chain set.
-            Value::Array(items) => items
-                .iter()
-                .enumerate()
-                .map(|(i, x)| decode_pending(x, &format!("{p}.pending[{i}]")))
-                .collect::<Result<Vec<_>, _>>()?,
-            // Version 1: the single chain object.
-            _ => vec![decode_pending(pending_v, &format!("{p}.pending"))?],
-        };
         Ok(ClusterState {
-            epoch: get_u64(v, "epoch", p)?,
-            health,
-            vms,
-            pending,
-            records: decode_migration_records(need(v, "records", p)?, "state.records")?,
-            aborts: decode_abort_records(need(v, "aborts", p)?, "state.aborts")?,
-            evacuations: decode_migration_records(need(v, "evacuations", p)?, "state.evacuations")?,
-            retries_committed: get_u64(v, "retries_committed", p)?,
-            retries_abandoned: get_u64(v, "retries_abandoned", p)?,
-            gave_up: get_u64(v, "gave_up", p)?,
-            arrivals: get_u64(v, "arrivals", p)?,
-            departures: get_u64(v, "departures", p)?,
-            arrivals_rejected: get_u64(v, "arrivals_rejected", p)?,
-            departures_skipped: get_u64(v, "departures_skipped", p)?,
-            departed_finished: get_u64(v, "departed_finished", p)?,
-            next_span: get_u32(v, "next_span", p)?,
+            epoch: field(v, "epoch")?,
+            health: field(v, "health")?,
+            vms: field(v, "vms")?,
+            pending: match v.get("pending") {
+                // Version 1: no chain backing off, or the single chain.
+                Some(Value::Null) => Vec::new(),
+                Some(one @ Value::Object(_)) => {
+                    vec![PendingRetry::from_value(one).map_err(|e| format!(".pending{e}"))?]
+                }
+                // Version 2: the ordered chain set.
+                _ => field(v, "pending")?,
+            },
+            records: field(v, "records")?,
+            aborts: field(v, "aborts")?,
+            evacuations: field(v, "evacuations")?,
+            retries_committed: field(v, "retries_committed")?,
+            retries_abandoned: field(v, "retries_abandoned")?,
+            gave_up: field(v, "gave_up")?,
+            arrivals: field(v, "arrivals")?,
+            departures: field(v, "departures")?,
+            arrivals_rejected: field(v, "arrivals_rejected")?,
+            departures_skipped: field(v, "departures_skipped")?,
+            departed_finished: field(v, "departed_finished")?,
+            next_span: field(v, "next_span")?,
         })
     }
 }
@@ -377,45 +355,43 @@ impl Checkpoint {
         ])
     }
 
-    /// Decode an artifact, rejecting wrong kinds and versions.
+    /// Decode an artifact, rejecting wrong kinds and versions. An
+    /// error names the failing field from the artifact's root:
+    /// `checkpoint.` and a header field, or the `config` or `state`
+    /// section (`state.vms[3].last_migration: not an unsigned integer`).
     pub fn from_value(v: &Value) -> Result<Checkpoint, String> {
-        let kind = get_str(v, "kind", "checkpoint")?;
+        let header = |e: String| format!("checkpoint{e}");
+        let kind: String = field(v, "kind").map_err(header)?;
         if kind != CKPT_KIND {
             return Err(format!(
                 "checkpoint.kind: '{kind}' is not a checkpoint (expected '{CKPT_KIND}')"
             ));
         }
-        let version = get_u64(v, "version", "checkpoint")?;
+        let version: u64 = field(v, "version").map_err(header)?;
         if !(1..=CKPT_VERSION).contains(&version) {
             return Err(format!(
                 "checkpoint.version: {version} unsupported (this build reads versions 1..={CKPT_VERSION})"
             ));
         }
-        let config = CheckpointConfig::from_value(need(v, "config", "checkpoint")?)?;
-        let state = ClusterState::from_value(need(v, "state", "checkpoint")?)?;
-        let epoch = get_u64(v, "epoch", "checkpoint")?;
+        let section = |key: &str| {
+            v.get(key)
+                .ok_or_else(|| format!("checkpoint: missing field '{key}'"))
+        };
+        let config =
+            CheckpointConfig::from_value(section("config")?).map_err(|e| format!("config{e}"))?;
+        let state = ClusterState::from_value(section("state")?).map_err(|e| format!("state{e}"))?;
+        let epoch: u64 = field(v, "epoch").map_err(header)?;
         if epoch != state.epoch {
             return Err(format!(
                 "checkpoint.epoch: {epoch} disagrees with state.epoch {}",
                 state.epoch
             ));
         }
-        let hosts_v = need(v, "hosts", "checkpoint")?
-            .as_array()
-            .ok_or_else(|| "checkpoint.hosts: not an array".to_string())?;
-        let hosts = hosts_v
-            .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                f.as_u64()
-                    .ok_or_else(|| format!("checkpoint.hosts[{i}]: not an unsigned integer"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(Checkpoint {
             config,
             state,
-            hosts,
-            digest: get_u64(v, "digest", "checkpoint")?,
+            hosts: field(v, "hosts").map_err(header)?,
+            digest: field(v, "digest").map_err(header)?,
         })
     }
 }
@@ -453,231 +429,6 @@ impl Cluster {
         }
         h.finish()
     }
-}
-
-// ---- decoding helpers ------------------------------------------------
-
-fn need<'a>(v: &'a Value, key: &str, path: &str) -> Result<&'a Value, String> {
-    v.get(key)
-        .ok_or_else(|| format!("{path}: missing field '{key}'"))
-}
-
-fn get_u64(v: &Value, key: &str, path: &str) -> Result<u64, String> {
-    need(v, key, path)?
-        .as_u64()
-        .ok_or_else(|| format!("{path}.{key}: not an unsigned integer"))
-}
-
-fn get_u32(v: &Value, key: &str, path: &str) -> Result<u32, String> {
-    u32::try_from(get_u64(v, key, path)?).map_err(|_| format!("{path}.{key}: does not fit in u32"))
-}
-
-fn get_usize(v: &Value, key: &str, path: &str) -> Result<usize, String> {
-    usize::try_from(get_u64(v, key, path)?)
-        .map_err(|_| format!("{path}.{key}: does not fit in usize"))
-}
-
-fn get_bool(v: &Value, key: &str, path: &str) -> Result<bool, String> {
-    need(v, key, path)?
-        .as_bool()
-        .ok_or_else(|| format!("{path}.{key}: not a boolean"))
-}
-
-fn get_str<'a>(v: &'a Value, key: &str, path: &str) -> Result<&'a str, String> {
-    need(v, key, path)?
-        .as_str()
-        .ok_or_else(|| format!("{path}.{key}: not a string"))
-}
-
-fn get_opt_u64(v: &Value, key: &str, path: &str) -> Result<Option<u64>, String> {
-    let f = need(v, key, path)?;
-    if f.is_null() {
-        return Ok(None);
-    }
-    f.as_u64()
-        .map(Some)
-        .ok_or_else(|| format!("{path}.{key}: not null or an unsigned integer"))
-}
-
-/// Decode an enum encoded the way the vendored serde derive emits it:
-/// unit variants as `"Name"`, struct variants as `{"Name": {...}}`.
-fn variant<'a>(v: &'a Value, path: &str) -> Result<(&'a str, Option<&'a Value>), String> {
-    if let Some(s) = v.as_str() {
-        return Ok((s, None));
-    }
-    if let Some([(name, payload)]) = v.as_object() {
-        return Ok((name, Some(payload)));
-    }
-    Err(format!("{path}: not an enum variant"))
-}
-
-fn decode_health(v: &Value, path: &str) -> Result<HostHealth, String> {
-    match variant(v, path)? {
-        ("Healthy", None) => Ok(HostHealth::Healthy),
-        ("Crashed", None) => Ok(HostHealth::Crashed),
-        ("Degraded", Some(p)) => Ok(HostHealth::Degraded {
-            pct: get_u32(p, "pct", path)?,
-        }),
-        (other, _) => Err(format!("{path}: unknown host health '{other}'")),
-    }
-}
-
-fn decode_fault_plan(v: &Value) -> Result<FaultPlan, String> {
-    let events_v = need(v, "events", "config.faults")?
-        .as_array()
-        .ok_or_else(|| "config.faults.events: not an array".to_string())?;
-    let mut events = Vec::with_capacity(events_v.len());
-    for (i, e) in events_v.iter().enumerate() {
-        let path = format!("config.faults.events[{i}]");
-        let kind = match variant(need(e, "kind", &path)?, &path)? {
-            ("Abort", None) => FaultKind::Abort,
-            ("Crash", Some(p)) => FaultKind::Crash {
-                host: get_usize(p, "host", &path)?,
-            },
-            ("Slow", Some(p)) => FaultKind::Slow {
-                host: get_usize(p, "host", &path)?,
-                derate_pct: get_u32(p, "derate_pct", &path)?,
-            },
-            (other, _) => return Err(format!("{path}: unknown fault kind '{other}'")),
-        };
-        events.push(FaultEvent {
-            epoch: get_u64(e, "epoch", &path)?,
-            kind,
-        });
-    }
-    Ok(FaultPlan { events })
-}
-
-fn decode_churn_plan(v: &Value) -> Result<ChurnPlan, String> {
-    let events_v = need(v, "events", "config.churn")?
-        .as_array()
-        .ok_or_else(|| "config.churn.events: not an array".to_string())?;
-    let mut events = Vec::with_capacity(events_v.len());
-    for (i, e) in events_v.iter().enumerate() {
-        let path = format!("config.churn.events[{i}]");
-        let kind = match variant(need(e, "kind", &path)?, &path)? {
-            ("Arrive", Some(p)) => {
-                let shape_v = need(p, "shape", &path)?;
-                let kind = match variant(need(shape_v, "kind", &path)?, &path)? {
-                    ("Gang", None) => ShapeKind::Gang,
-                    ("Background", None) => ShapeKind::Background,
-                    (other, _) => return Err(format!("{path}: unknown shape kind '{other}'")),
-                };
-                ChurnKind::Arrive {
-                    shape: VmShape {
-                        kind,
-                        vcpus: get_usize(shape_v, "vcpus", &path)?,
-                        weight: get_u32(shape_v, "weight", &path)?,
-                    },
-                }
-            }
-            ("Depart", Some(p)) => ChurnKind::Depart {
-                host: get_usize(p, "host", &path)?,
-                slot: get_usize(p, "slot", &path)?,
-            },
-            (other, _) => return Err(format!("{path}: unknown churn kind '{other}'")),
-        };
-        events.push(ChurnEvent {
-            epoch: get_u64(e, "epoch", &path)?,
-            kind,
-        });
-    }
-    Ok(ChurnPlan { events })
-}
-
-fn decode_migration_records(v: &Value, path: &str) -> Result<Vec<MigrationRecord>, String> {
-    let arr = v
-        .as_array()
-        .ok_or_else(|| format!("{path}: not an array"))?;
-    arr.iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let p = format!("{path}[{i}]");
-            Ok(MigrationRecord {
-                epoch: get_u64(r, "epoch", &p)?,
-                vm: get_usize(r, "vm", &p)?,
-                name: get_str(r, "name", &p)?.to_string(),
-                from: get_usize(r, "from", &p)?,
-                to: get_usize(r, "to", &p)?,
-                online_delta: get_u64(r, "online_delta", &p)?,
-                dirty_pages: get_u64(r, "dirty_pages", &p)?,
-                pause: get_u64(r, "pause", &p)?,
-            })
-        })
-        .collect()
-}
-
-fn decode_abort_records(v: &Value, path: &str) -> Result<Vec<AbortRecord>, String> {
-    let arr = v
-        .as_array()
-        .ok_or_else(|| format!("{path}: not an array"))?;
-    arr.iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let p = format!("{path}[{i}]");
-            Ok(AbortRecord {
-                epoch: get_u64(r, "epoch", &p)?,
-                vm: get_usize(r, "vm", &p)?,
-                name: get_str(r, "name", &p)?.to_string(),
-                from: get_usize(r, "from", &p)?,
-                to: get_usize(r, "to", &p)?,
-                attempt: get_u32(r, "attempt", &p)?,
-                online_delta: get_u64(r, "online_delta", &p)?,
-                dirty_pages: get_u64(r, "dirty_pages", &p)?,
-                penalty: get_u64(r, "penalty", &p)?,
-            })
-        })
-        .collect()
-}
-
-fn decode_vm_row(v: &Value, path: &str) -> Result<VmRow, String> {
-    Ok(VmRow {
-        name: get_str(v, "name", path)?.to_string(),
-        host: get_usize(v, "host", path)?,
-        vcpus: get_usize(v, "vcpus", path)?,
-        migrations: get_u64(v, "migrations", path)?,
-        spin_cycles: get_u64(v, "spin_cycles", path)?,
-        useful_cycles: get_u64(v, "useful_cycles", path)?,
-        vcrd_high_cycles: get_u64(v, "vcrd_high_cycles", path)?,
-        online_cycles: get_u64(v, "online_cycles", path)?,
-    })
-}
-
-fn decode_vm_entry(v: &Value, path: &str) -> Result<VmEntry, String> {
-    let final_row_v = need(v, "final_row", path)?;
-    let final_row = if final_row_v.is_null() {
-        None
-    } else {
-        Some(decode_vm_row(final_row_v, &format!("{path}.final_row"))?)
-    };
-    Ok(VmEntry {
-        name: get_str(v, "name", path)?.to_string(),
-        host: get_usize(v, "host", path)?,
-        local: get_usize(v, "local", path)?,
-        vcpus: get_usize(v, "vcpus", path)?,
-        last_migration: get_opt_u64(v, "last_migration", path)?,
-        migrations: get_u64(v, "migrations", path)?,
-        prev_spin: get_u64(v, "prev_spin", path)?,
-        prev_vcrd_high: get_u64(v, "prev_vcrd_high", path)?,
-        prev_online: get_u64(v, "prev_online", path)?,
-        spin_delta: get_u64(v, "spin_delta", path)?,
-        vcrd_high_delta: get_u64(v, "vcrd_high_delta", path)?,
-        online_delta: get_u64(v, "online_delta", path)?,
-        attempts: get_u32(v, "attempts", path)?,
-        gave_up: get_bool(v, "gave_up", path)?,
-        departed: get_bool(v, "departed", path)?,
-        final_row,
-    })
-}
-
-fn decode_pending(v: &Value, path: &str) -> Result<PendingRetry, String> {
-    Ok(PendingRetry {
-        vm: get_usize(v, "vm", path)?,
-        to: get_usize(v, "to", path)?,
-        due: get_u64(v, "due", path)?,
-        attempts: get_u32(v, "attempts", path)?,
-        span: get_u32(v, "span", path)?,
-    })
 }
 
 // ---- structural comparison ------------------------------------------

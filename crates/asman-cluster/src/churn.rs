@@ -33,14 +33,14 @@
 //! VMs is skipped (and counted) rather than failing the run.
 
 use asman_sim::SimRng;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Stream index mixed into [`SimRng::fork`] for churn draws. Distinct
 /// from the workload streams and the fault layer's `FAULT_STREAM`.
 const CHURN_STREAM: u64 = 0xC4A2_7002;
 
 /// Workload shape of an arriving VM.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ShapeKind {
     /// A concurrent (gang) VM: spinlock-coupled VCPUs that want
     /// coscheduling (the scenario layer's gang program).
@@ -60,7 +60,7 @@ impl ShapeKind {
 }
 
 /// Full shape of an arriving VM: what it runs and how big it is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VmShape {
     /// Workload kind.
     pub kind: ShapeKind,
@@ -72,7 +72,7 @@ pub struct VmShape {
 }
 
 /// One kind of churn event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ChurnKind {
     /// A VM of the given shape arrives and is admission-placed on the
     /// least-loaded healthy host that fits it.
@@ -91,7 +91,7 @@ pub enum ChurnKind {
 }
 
 /// One scheduled churn event: `kind` fires at the boundary of `epoch`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChurnEvent {
     /// Cluster epoch (0-based) at whose boundary the event fires.
     pub epoch: u64,
@@ -101,7 +101,7 @@ pub struct ChurnEvent {
 
 /// A deterministic schedule of arrivals and departures, sorted by
 /// epoch (stable: same-epoch events keep their written order).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChurnPlan {
     /// Events in nondecreasing epoch order.
     pub events: Vec<ChurnEvent>,

@@ -67,7 +67,7 @@ use asman_sim::{
     CatMask, Cycles, EpochSample, FaultKind, FaultPlan, FlightEv, FlightEvent, HostSample,
     MetricsRegistry, SeriesSampler, SweepRunner,
 };
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Cluster driver parameters.
@@ -129,7 +129,7 @@ impl Default for ClusterConfig {
 }
 
 /// Health of one host, as the cluster driver tracks it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum HostHealth {
     /// Fully operational; admits new VMs.
     Healthy,
@@ -147,7 +147,7 @@ pub enum HostHealth {
 /// holds one of the cluster's [`ClusterConfig::max_moves`] migration
 /// slots — and its source/destination endpoint caps — until it
 /// commits, is abandoned, or exhausts the attempt cap.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PendingRetry {
     /// Cluster-wide VM id being moved.
     pub vm: usize,
@@ -220,7 +220,7 @@ struct AdvanceOut {
 
 /// Cluster-side registry entry for one VM. The cluster id is stable for
 /// the whole run; `host`/`local` track where the VM currently lives.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct VmEntry {
     /// VM name.
     pub name: String,
@@ -295,7 +295,7 @@ impl VmEntry {
 }
 
 /// Per-VM row of the final report.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct VmRow {
     /// VM name.
     pub name: String,

@@ -13,10 +13,10 @@
 //! deadlines that expired mid-pause fire late.
 
 use asman_sim::Cycles;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Deterministic integer cost model for one stop-and-copy migration.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct MigrationModel {
     /// Pages always copied regardless of activity (the working set
     /// floor: kernel image, page tables, resident heap).
@@ -67,7 +67,7 @@ impl MigrationModel {
 /// One executed live migration, as recorded by the cluster driver. The
 /// cluster auditor recomputes `dirty_pages` and `pause` from
 /// `online_delta` through the same model and panics on any mismatch.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MigrationRecord {
     /// Epoch (0-based) at whose boundary the move happened.
     pub epoch: u64,
@@ -93,7 +93,7 @@ pub struct MigrationRecord {
 /// source with `penalty` cycles of guest-visible dead time. The cluster
 /// auditor recomputes `dirty_pages` and `penalty` from `online_delta`
 /// through the model and panics on any mismatch.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct AbortRecord {
     /// Epoch (0-based) at whose boundary the attempt was made.
     pub epoch: u64,

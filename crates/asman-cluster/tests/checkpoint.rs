@@ -17,12 +17,16 @@
 //! 3), it commits at epoch 3, and at epoch 5 the resulting per-VM
 //! cooldowns are still counting down — with further migrations landing
 //! around epochs 8 and 11 to carry any divergence to the horizon.
+//!
+//! The last test pins the decoder's refusals: one corrupted field of
+//! the epoch-2 image per row, and the exact message naming it.
 
 use asman_cluster::{
     checkpoint::ClusterState, scenario::ConsolidationSpec, Checkpoint, CheckpointConfig, ChurnPlan,
     ClusterConfig, Policy,
 };
 use asman_sim::FaultPlan;
+use serde::Value;
 
 const EPOCHS: u64 = 12;
 
@@ -206,5 +210,82 @@ fn dropped_boundary_fields_diverge() {
             !ck2.validate(&fresh).is_empty(),
             "{what}: validate must flag the mangled image"
         );
+    }
+}
+
+/// The value at a dotted `path` of object keys and array indexes.
+fn at<'a>(v: &'a mut Value, path: &str) -> &'a mut Value {
+    path.split('.').fold(v, |v, seg| match v {
+        Value::Object(fields) => &mut fields.iter_mut().find(|(k, _)| k == seg).expect(seg).1,
+        Value::Array(items) => &mut items[seg.parse::<usize>().expect(seg)],
+        _ => panic!("{seg}: not an object or array"),
+    })
+}
+
+/// A corrupted field is refused with its path from the artifact root
+/// and its problem. The epoch-2 image is mid-flight: faults in the
+/// config, an abort on record and a retry chain pending.
+#[test]
+fn decode_errors_name_the_corrupted_field() {
+    let good = capture_at(&config(), 2).to_value();
+    let back = Checkpoint::from_value(&good).expect("the intact image decodes");
+    assert_eq!(back.state, capture_at(&config(), 2).state);
+    type Corrupt = fn(&mut Value);
+    let rows: [(Corrupt, &str); 9] = [
+        (
+            |v| *at(v, "state.vms.1.last_migration") = Value::Str("soon".into()),
+            "state.vms[1].last_migration: not an unsigned integer",
+        ),
+        (
+            |v| *at(v, "config.faults.events.0.kind") = Value::Str("Boom".into()),
+            "config.faults.events[0].kind: unknown variant 'Boom'",
+        ),
+        (
+            |v| {
+                *at(v, "config.faults.events.0.kind") =
+                    serde_json::from_str(r#"{"Crash": {"host": "h1"}}"#).unwrap()
+            },
+            "config.faults.events[0].kind.Crash.host: not an unsigned integer",
+        ),
+        (
+            |v| *at(v, "state.health.0") = Value::U64(0),
+            "state.health[0]: not an enum variant",
+        ),
+        (
+            |v| *at(v, "state.records") = Value::Null,
+            "state.records: not an array",
+        ),
+        (
+            |v| *at(v, "state.next_span") = Value::U64(1 << 32),
+            "state.next_span: does not fit in u32",
+        ),
+        (
+            |v| {
+                let Value::Object(abort) = at(v, "state.aborts.0") else {
+                    unreachable!()
+                };
+                abort.retain(|(k, _)| k != "penalty");
+            },
+            "state.aborts[0]: missing field 'penalty'",
+        ),
+        (
+            // A version-1 image carries its one live chain as an object.
+            |v| {
+                *at(v, "version") = Value::U64(1);
+                let mut chain = at(v, "state.pending.0").clone();
+                *at(&mut chain, "attempts") = Value::Bool(true);
+                *at(v, "state.pending") = chain;
+            },
+            "state.pending.attempts: not an unsigned integer",
+        ),
+        (
+            |v| *at(v, "hosts.1") = Value::F64(0.5),
+            "checkpoint.hosts[1]: not an unsigned integer",
+        ),
+    ];
+    for (corrupt, want) in rows {
+        let mut v = good.clone();
+        corrupt(&mut v);
+        assert_eq!(Checkpoint::from_value(&v).err().as_deref(), Some(want));
     }
 }

@@ -22,11 +22,11 @@
 //! events, which select probabilistically).
 
 use asman_sim::{Clock, Cycles, SimRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters of the learning algorithm (the paper's `r`, `s(0)`, `e`,
 /// `N`, plus the slack threshold Δ from Figure 6).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct LearningConfig {
     /// Recency parameter `r` ∈ (0, 1): forgetting rate of propensities.
     pub recency: f64,

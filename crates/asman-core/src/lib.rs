@@ -49,7 +49,7 @@ use asman_hypervisor::{CoschedPolicy, Machine, MachineConfig, VmSpec};
 
 /// Bundled configuration for an ASMan deployment: machine parameters plus
 /// the per-VM Monitoring Module settings.
-#[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, serde::Serialize)]
 pub struct AsmanConfig {
     /// Machine/scheduler parameters (the policy field is overridden to
     /// [`CoschedPolicy::Adaptive`]).

@@ -13,10 +13,10 @@
 //!   the learning algorithm tracks the true lasting time).
 
 use asman_sim::{Cycles, SimRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One reconstructed locality of synchronization.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct Locality {
     /// Start time (first over-threshold event of the burst).
     pub start: Cycles,

@@ -12,12 +12,12 @@
 
 use asman_guest::{MonitorConfig, SpinObserver, Vcrd, VcrdUpdate};
 use asman_sim::{Cycles, SimRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::learning::{LastingTimeEstimator, LearningConfig};
 
 /// Aggregate statistics kept by the Monitoring Module.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, Serialize)]
 pub struct MonitorStats {
     /// Over-threshold waits seen (= VCRD adjusting events).
     pub adjust_events: u64,

@@ -8,10 +8,10 @@
 //! can probe sensitivity.
 
 use asman_sim::{Clock, Cycles};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Cycle costs of guest-kernel operations.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct GuestCosts {
     /// Wait recorded for an uncontended spinlock acquisition (atomic RMW +
     /// cacheline transfer).

@@ -9,11 +9,11 @@
 //! trait boundary so baseline schedulers can run with a no-op observer.
 
 use asman_sim::Cycles;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The VCPU Related Degree of a VM: how strongly its VCPUs currently need
 /// to be online simultaneously.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub enum Vcrd {
     /// VCPUs may be scheduled asynchronously (the default).
     #[default]
@@ -63,7 +63,7 @@ impl SpinObserver for NullObserver {
 }
 
 /// Configuration shared by monitoring implementations.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct MonitorConfig {
     /// Over-threshold exponent δ: waits above `2^delta` cycles trigger a
     /// VCRD adjusting event. The paper uses δ = 20.

@@ -3,11 +3,11 @@
 use asman_guest::{GuestCosts, NullObserver, SpinObserver};
 use asman_sim::{Clock, Cycles};
 use asman_workloads::Program;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How a VM's proportional share is enforced (Xen terminology, §5.2–5.3
 /// of the paper / Cherkasova et al.).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum CapMode {
     /// Shares are merely guarantees: a VM may receive extra CPU time when
     /// other VMs are blocked or idle (used in the multi-VM experiments).
@@ -20,7 +20,7 @@ pub enum CapMode {
 
 /// Which coscheduling strategy the VMM applies on top of the Credit
 /// scheduler's proportional-share machinery.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum CoschedPolicy {
     /// The unmodified Credit scheduler: VCPUs are scheduled fully
     /// asynchronously (the paper's `Credit` baseline).
@@ -46,7 +46,7 @@ pub enum CoschedPolicy {
 }
 
 /// Physical machine and scheduler parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct MachineConfig {
     /// CPU clock (default 2.33 GHz, the paper's Xeon X5410).
     pub clock: Clock,

@@ -40,4 +40,4 @@ pub mod metrics;
 
 pub use config::{CapMode, CoschedPolicy, MachineConfig, VmSpec};
 pub use machine::{Ev, Machine, OracleMachine, PerfSnapshot, VmCounters, VmImage, VmRetirement};
-pub use metrics::{SchedEventKind, VmAccounting};
+pub use metrics::VmAccounting;

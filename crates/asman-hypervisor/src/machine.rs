@@ -30,7 +30,24 @@ use asman_sim::registry::{MetricsRegistry, QuantileHist};
 use asman_sim::{merge_streams, Cycles, EventQueue, Fnv, SimRng};
 
 use crate::config::{CapMode, CoschedPolicy, MachineConfig, VmSpec};
-use crate::metrics::{SchedEventKind, VmAccounting};
+use crate::metrics::VmAccounting;
+
+/// Kinds of scheduling transitions, recorded as flight events (park and
+/// unpark in the `credit` category, the rest in `sched`).
+enum SchedEventKind {
+    /// VCPU given a PCPU.
+    Dispatch,
+    /// VCPU involuntarily preempted back to a runqueue.
+    Preempt,
+    /// VCPU blocked (guest idle).
+    Block,
+    /// VCPU woken (runnable again).
+    Wake,
+    /// VCPU parked by cap enforcement.
+    Park,
+    /// VCPU unparked at an accounting event.
+    Unpark,
+}
 
 /// VCPU scheduling state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -1,28 +1,10 @@
 //! Accounting snapshots exposed by the machine model.
 
 use asman_sim::Cycles;
-use serde::{Deserialize, Serialize};
-
-/// Kinds of scheduling transitions, recorded as flight events (park and
-/// unpark in the `credit` category, the rest in `sched`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SchedEventKind {
-    /// VCPU given a PCPU.
-    Dispatch,
-    /// VCPU involuntarily preempted back to a runqueue.
-    Preempt,
-    /// VCPU blocked (guest idle).
-    Block,
-    /// VCPU woken (runnable again).
-    Wake,
-    /// VCPU parked by cap enforcement.
-    Park,
-    /// VCPU unparked at an accounting event.
-    Unpark,
-}
+use serde::Serialize;
 
 /// Per-VM CPU accounting.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct VmAccounting {
     /// Total cycles each VCPU spent online (mapped to a PCPU).
     pub vcpu_online: Vec<Cycles>,

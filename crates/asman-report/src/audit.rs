@@ -29,8 +29,8 @@ use std::fmt::Write as _;
 use asman_core::{asman_setup, AsmanConfig};
 use asman_hypervisor::{CapMode, CoschedPolicy, Ev, Machine, MachineConfig, OracleMachine, VmSpec};
 use asman_sim::{
-    check_episode_invariants, detect_lhp, CatMask, Clock, FlightEvent, MetricsRegistry, SimQueue,
-    SweepRunner,
+    check_episode_invariants, detect_lhp, CatMask, Clock, FlightEvent, Fnv, MetricsRegistry,
+    SimQueue, SweepRunner,
 };
 use asman_workloads::{Op, ScriptProgram};
 use serde::Serialize;
@@ -244,15 +244,6 @@ fn digest<Q: SimQueue<Ev>>(m: &Machine<Q>) -> String {
     s
 }
 
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Compare the two digests line by line; on mismatch, report the first
 /// differing line from both engines.
 fn first_digest_divergence(cell: &str, opt: &str, ora: &str) -> Option<Divergence> {
@@ -354,9 +345,11 @@ fn run_cell_impl(spec: &CellSpec, arm: impl FnOnce(&mut Machine)) -> CellOutcome
             check_episode_invariants(&detect_lhp(&so));
         }
     }
+    let mut h = Fnv::new();
+    h.write_bytes(d_opt.as_bytes());
     CellOutcome {
         label,
-        digest: fnv1a(&d_opt),
+        digest: h.finish(),
         divergence,
     }
 }

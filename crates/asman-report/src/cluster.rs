@@ -18,7 +18,7 @@ use asman_cluster::{
     scenario::{self, ConsolidationSpec},
     ClusterConfig, ClusterReport, Policy,
 };
-use asman_sim::{CatMask, FaultPlan, FlightEvent, MetricsRegistry, StreamBudget, SweepRunner};
+use asman_sim::{CatMask, FaultPlan, FlightEvent, Fnv, MetricsRegistry, StreamBudget, SweepRunner};
 use serde::Serialize;
 use std::fmt::Write as _;
 
@@ -119,12 +119,9 @@ pub struct ClusterExperiment {
 /// FNV-1a over a serialized report: stable, dependency-free digest.
 pub fn digest_report(report: &ClusterReport) -> String {
     let json = serde_json::to_string(report).expect("serialize cluster report");
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in json.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
+    let mut h = Fnv::new();
+    h.write_bytes(json.as_bytes());
+    format!("{:016x}", h.finish())
 }
 
 /// Run one policy cell to its report.

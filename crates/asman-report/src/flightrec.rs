@@ -1,8 +1,7 @@
 //! Flight-recorder exporters and the `repro trace` driver.
 //!
-//! Takes the merged cross-layer event stream of a traced
-//! [`Machine`](asman_hypervisor::Machine) and turns it into run
-//! artifacts:
+//! Takes the merged cross-layer event stream of a traced [`Machine`]
+//! and turns it into run artifacts:
 //!
 //! * **Chrome trace-event JSON** (`trace_<sched>.json`) — loadable in
 //!   [Perfetto](https://ui.perfetto.dev). One track per PCPU (what ran

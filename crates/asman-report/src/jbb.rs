@@ -7,12 +7,12 @@
 
 use asman_sim::Cycles;
 use asman_workloads::{SpecJbb, SpecJbbConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::scenario::{Sched, SingleVmScenario};
 
 /// One throughput measurement point.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct JbbPoint {
     /// Warehouse count.
     pub warehouses: usize,

@@ -1,7 +1,7 @@
 //! Progress logging for the report binaries.
 //!
 //! Every progress line the harness emits (`wrote …`, `[fig9 took …]`,
-//! run headers) goes through [`progress!`], which writes to stderr
+//! run headers) goes through [`progress!`](crate::progress), which writes to stderr
 //! unless quiet mode is on. `repro -q` silences progress without
 //! touching the actual results on stdout; hard errors still print
 //! unconditionally.

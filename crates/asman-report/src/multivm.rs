@@ -9,12 +9,12 @@
 use asman_hypervisor::{Machine, MachineConfig, VmSpec};
 use asman_sim::OnlineStats;
 use asman_workloads::{NasBenchmark, NasSpec, ProblemClass, SpecCpuKind, SpecCpuRate};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::scenario::{dom0_vm, machine_for, Sched};
 
 /// One workload VM in a multi-VM combination.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum VmWorkload {
     /// A NAS concurrent benchmark (4 threads), flagged as a concurrent VM
     /// for the static coscheduler.
@@ -56,7 +56,7 @@ pub struct MultiVmScenario {
 }
 
 /// Per-VM result of a multi-VM run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct MultiVmRow {
     /// VM name ("V1"…).
     pub vm: String,

@@ -15,10 +15,10 @@ use asman_guest::GuestStats;
 use asman_hypervisor::{CapMode, CoschedPolicy, Machine, MachineConfig, VmSpec};
 use asman_sim::Cycles;
 use asman_workloads::{BackgroundConfig, BackgroundService, Program, ScriptProgram};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Scheduler under test, matching the labels of the paper's figures.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum Sched {
     /// The unmodified Xen Credit scheduler.
     Credit,
@@ -186,7 +186,7 @@ impl SingleVmScenario {
 }
 
 /// Measurements from a single-VM run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct SingleVmOutcome {
     /// Whether the workload completed before the horizon.
     pub completed: bool,

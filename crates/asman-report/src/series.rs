@@ -1,7 +1,7 @@
 //! The time-series telemetry report (`repro series`).
 //!
 //! Re-runs the consolidation cluster of `repro cluster` with the
-//! telemetry layer armed — the per-epoch [`SeriesSampler`] ring in the
+//! telemetry layer armed — the per-epoch [`SeriesSampler`](asman_sim::SeriesSampler) ring in the
 //! cluster driver's serial barrier, plus scheduler-latency histograms
 //! on every host — and renders what an operator watching the cluster
 //! would have seen: an epoch × metric sparkline timeline per policy, a

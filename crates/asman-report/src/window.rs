@@ -9,14 +9,14 @@
 use asman_guest::stats::WAIT_FLOOR;
 use asman_hypervisor::Machine;
 use asman_sim::{CatMask, Cycles, FlightEv, FlightRecorder, Log2Histogram, TraceCat};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Simulated time between drains of the window's recorder, which keeps
 /// every acquisition (short waits too) until it is drained.
 const DRAIN_EVERY_MS: u64 = 100;
 
 /// Spinlock-wait observations collected over one time window.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct WaitWindow {
     /// Window start (simulated seconds).
     pub start_secs: f64,

@@ -24,14 +24,14 @@
 //! ```
 
 use crate::rng::SimRng;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Stream index mixed into [`SimRng::fork`] for fault draws. Any fixed
 /// constant works; it only has to differ from the workload streams.
 const FAULT_STREAM: u64 = 0xFA01_7001;
 
 /// One kind of injected fault.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultKind {
     /// The host's advertised capacity drops by `derate_pct` percent:
     /// admission control treats it as smaller, and the balancer stops
@@ -54,7 +54,7 @@ pub enum FaultKind {
 }
 
 /// One scheduled fault: `kind` fires at the boundary of `epoch`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultEvent {
     /// Cluster epoch (0-based) at whose boundary the fault fires.
     pub epoch: u64,
@@ -63,7 +63,7 @@ pub struct FaultEvent {
 }
 
 /// A deterministic schedule of faults, sorted by epoch.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// Events in nondecreasing epoch order.
     pub events: Vec<FaultEvent>,

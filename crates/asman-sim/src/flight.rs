@@ -21,13 +21,13 @@
 //!   are recorded in simulation order; merging streams uses a stable sort
 //!   so any export is bit-identical across runs and `--jobs` values.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::time::Cycles;
 use crate::trace::overflow_warning;
 
 /// Event categories, each independently enableable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 #[repr(u8)]
 pub enum TraceCat {
     /// VCPU↔PCPU transitions: dispatch, preempt, block, wake, steal,
@@ -84,7 +84,7 @@ impl TraceCat {
 }
 
 /// A set of enabled trace categories (one bit per [`TraceCat`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct CatMask(pub u32);
 
 impl CatMask {
@@ -143,7 +143,7 @@ pub const VM_UNPATCHED: u32 = u32::MAX;
 /// payload compact; guest-layer variants are recorded with VM-local VCPU
 /// slots and [`VM_UNPATCHED`], then rebased to global indices by
 /// [`FlightEv::rebase_guest`] when the hypervisor merges the streams.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum FlightEv {
     // -------------------------------------------------- hypervisor layer
     /// VCPU given a PCPU (context switch in).
@@ -499,7 +499,7 @@ impl FlightEv {
 }
 
 /// A timestamped flight-recorder event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct FlightEvent {
     /// Simulated time of the event.
     pub t: Cycles,

@@ -5,10 +5,10 @@
 //! online `wait_cycles` histogram), where keeping every sample would be
 //! wasteful.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Streaming estimator of a single quantile `p` via the P² algorithm.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct P2Quantile {
     p: f64,
     /// Marker heights (estimates of the quantile curve).

@@ -5,13 +5,13 @@
 //! coefficient-of-variation acceptance bound (§5.3), and throughput scores.
 //! [`Log2Histogram`] and [`OnlineStats`] implement exactly those reductions.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::time::Cycles;
 
 /// Histogram over `log2(value)` with 65 buckets (bucket `i` counts values
 /// `v` with `floor(log2 v) == i`; bucket 64 counts zeros separately).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Log2Histogram {
     buckets: Vec<u64>,
     zeros: u64,
@@ -109,7 +109,7 @@ impl Log2Histogram {
 }
 
 /// Streaming mean/variance via Welford's algorithm, plus min/max.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, Serialize)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,

@@ -185,7 +185,7 @@ impl Sum for Cycles {
 }
 
 /// CPU clock specification: converts between wall time and [`Cycles`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct Clock {
     /// Simulated CPU frequency in Hz.
     pub hz: u64,

@@ -12,12 +12,12 @@
 //! exhibits.
 
 use asman_sim::{Clock, Cycles, SimRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::ops::{Op, Program};
 
 /// Parameters of the background service model.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct BackgroundConfig {
     /// Mean time between bursts per VCPU.
     pub mean_period: Cycles,

@@ -23,12 +23,12 @@
 //! (see crate docs); `ProblemClass` scales them further for tests/benches.
 
 use asman_sim::{Clock, Cycles};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::phased::{PhasedProgram, PhasedSpec};
 
 /// The seven NAS kernels/pseudo-apps used in the paper's evaluation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 #[allow(missing_docs)]
 pub enum NasBenchmark {
     BT,
@@ -69,7 +69,7 @@ impl NasBenchmark {
 /// Problem-size classes in NPB style. `A` is the paper's configuration
 /// (scaled as described in the crate docs); `W` and `S` shrink the
 /// iteration counts for benchmarks and unit tests respectively.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum ProblemClass {
     /// Tiny: for unit tests (seconds of simulated time).
     S,
@@ -91,7 +91,7 @@ impl ProblemClass {
 }
 
 /// Fully resolved parameters for one NAS benchmark instance.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct NasSpec {
     /// The underlying phased-iteration parameters.
     pub phased: PhasedSpec,

@@ -6,10 +6,10 @@
 //! to whichever VCPU the thread happens to run on.
 
 use asman_sim::Cycles;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One step of a guest thread's program.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum Op {
     /// Burn `0` cycles of pure user-space computation.
     Compute(Cycles),
@@ -75,7 +75,7 @@ pub enum Op {
 }
 
 /// Progress markers emitted by workloads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum Mark {
     /// One unit of throughput work completed (e.g. a SPECjbb transaction).
     Transaction,

@@ -11,12 +11,12 @@
 use std::collections::VecDeque;
 
 use asman_sim::{Cycles, SimRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::ops::{Mark, Op, Program};
 
 /// Parameters of a phased-iteration workload.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct PhasedSpec {
     /// Benchmark name for reporting.
     pub name: String,

@@ -9,12 +9,12 @@
 //! contention, present so the workload exercises the same guest paths).
 
 use asman_sim::{Clock, Cycles, SimRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::ops::{Mark, Op, Program};
 
 /// Which SPEC CPU2000 benchmark to model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum SpecCpuKind {
     /// 176.gcc — shorter rounds.
     Gcc,

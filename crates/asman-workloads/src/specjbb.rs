@@ -16,12 +16,12 @@
 //! (`bops` ≈ transactions/second in the measurement window).
 
 use asman_sim::{Clock, Cycles, SimRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::ops::{Mark, Op, Program};
 
 /// Tunables for the SPECjbb-like model.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct SpecJbbConfig {
     /// Number of warehouse threads (the paper sweeps 1..=8).
     pub warehouses: usize,
