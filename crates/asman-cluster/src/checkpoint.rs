@@ -41,11 +41,12 @@
 //! divergence detector of the `repro bisect` driver.
 
 use crate::balancer::Policy;
-use crate::churn::ChurnPlan;
+use crate::churn::{ChurnKind, ChurnPlan};
 use crate::migration::{AbortRecord, MigrationModel, MigrationRecord};
 use crate::scenario::{consolidation_cluster, ConsolidationSpec};
 use crate::{Cluster, ClusterConfig, HostHealth, PendingRetry, VmEntry};
-use asman_sim::{FaultPlan, Fnv};
+use asman_hypervisor::MAX_PCPUS;
+use asman_sim::{FaultKind, FaultPlan, Fnv};
 use serde::{field, Deserialize, Serialize, Value};
 
 /// Artifact type tag (`"kind"` field of every checkpoint file).
@@ -163,12 +164,14 @@ impl CheckpointConfig {
     /// at its top level, the policy as its label, and no `max_moves`
     /// in version 1. Errors name the path below the section, as
     /// [`Deserialize::from_value`] does (`.faults.events[0].epoch: not
-    /// an unsigned integer`).
+    /// an unsigned integer`). A well-typed value that building or
+    /// running the cluster would assert on is refused the same way
+    /// (`.hosts: 1 is out of range (at least 2)`).
     pub fn from_value(v: &Value) -> Result<CheckpointConfig, String> {
         let label: String = field(v, "policy")?;
         let policy =
             Policy::parse(&label).ok_or_else(|| format!(".policy: unknown policy '{label}'"))?;
-        Ok(CheckpointConfig {
+        let config = CheckpointConfig {
             scenario: ConsolidationSpec {
                 hosts: field(v, "hosts")?,
                 gangs: field(v, "gangs")?,
@@ -192,7 +195,80 @@ impl CheckpointConfig {
                 Some(_) => field(v, "max_moves")?,
                 None => 1,
             },
-        })
+        };
+        config.check_ranges()?;
+        Ok(config)
+    }
+
+    /// The first value [`CheckpointConfig::build_cluster`] or the run
+    /// would assert on, with its path below the section: the scenario's
+    /// shape, the epoch length and cadences, and every host a fault or
+    /// churn event names. A fault plan must also leave one host up, as
+    /// the CLI demands, or the last crash has nowhere to evacuate to.
+    fn check_ranges(&self) -> Result<(), String> {
+        let hosts = self.scenario.hosts;
+        let minimums = [
+            ("hosts", hosts as u64, 2),
+            ("gangs", self.scenario.gangs as u64, 1),
+            ("pcpus", self.scenario.pcpus as u64, 1),
+            ("epoch_ms", self.epoch_ms, 1),
+            ("audit_every", self.audit_every, 1),
+            ("max_moves", self.max_moves as u64, 1),
+        ];
+        for (name, v, min) in minimums {
+            if v < min {
+                return Err(format!(".{name}: {v} is out of range (at least {min})"));
+            }
+        }
+        if self.scenario.pcpus > MAX_PCPUS {
+            return Err(format!(
+                ".pcpus: {} is out of range (at most {MAX_PCPUS})",
+                self.scenario.pcpus
+            ));
+        }
+        let no_host = |path: String, h: usize| {
+            format!("{path}: host {h} is out of range (the cluster has {hosts} hosts)")
+        };
+        for (i, e) in self.faults.events.iter().enumerate() {
+            let at = || format!(".faults.events[{i}].kind");
+            match e.kind {
+                FaultKind::Slow { host, .. } if host >= hosts => {
+                    return Err(no_host(format!("{}.Slow.host", at()), host))
+                }
+                FaultKind::Slow { derate_pct, .. } if !(1..=99).contains(&derate_pct) => {
+                    return Err(format!(
+                        "{}.Slow.derate_pct: {derate_pct} is out of range (1..=99)",
+                        at()
+                    ))
+                }
+                FaultKind::Crash { host } if host >= hosts => {
+                    return Err(no_host(format!("{}.Crash.host", at()), host))
+                }
+                _ => {}
+            }
+        }
+        if self.faults.crashed_hosts().len() == hosts {
+            return Err(
+                ".faults: crashes every host; one must stay up to take the evacuated VMs"
+                    .to_string(),
+            );
+        }
+        for (i, e) in self.churn.events.iter().enumerate() {
+            let at = || format!(".churn.events[{i}].kind");
+            match e.kind {
+                ChurnKind::Depart { host, .. } if host >= hosts => {
+                    return Err(no_host(format!("{}.Depart.host", at()), host))
+                }
+                ChurnKind::Arrive { shape } if shape.vcpus == 0 => {
+                    return Err(format!(
+                        "{}.Arrive.shape.vcpus: 0 is out of range (at least 1)",
+                        at()
+                    ))
+                }
+                _ => {}
+            }
+        }
+        Ok(())
     }
 }
 

@@ -26,7 +26,7 @@ use asman_cluster::{
     ClusterConfig, Policy,
 };
 use asman_sim::FaultPlan;
-use serde::Value;
+use serde::{Serialize, Value};
 
 const EPOCHS: u64 = 12;
 
@@ -222,16 +222,25 @@ fn at<'a>(v: &'a mut Value, path: &str) -> &'a mut Value {
     })
 }
 
+/// A crash of `host`, as a fault event's `kind` encodes it.
+fn crash(host: u64) -> Value {
+    Value::Object(vec![(
+        "Crash".into(),
+        Value::Object(vec![("host".into(), Value::U64(host))]),
+    )])
+}
+
 /// A corrupted field is refused with its path from the artifact root
-/// and its problem. The epoch-2 image is mid-flight: faults in the
-/// config, an abort on record and a retry chain pending.
+/// and its problem: a wrong type, or a value out of the range the
+/// cluster is built and run with. The epoch-2 image is mid-flight:
+/// faults in the config, an abort on record and a retry chain pending.
 #[test]
 fn decode_errors_name_the_corrupted_field() {
     let good = capture_at(&config(), 2).to_value();
     let back = Checkpoint::from_value(&good).expect("the intact image decodes");
     assert_eq!(back.state, capture_at(&config(), 2).state);
     type Corrupt = fn(&mut Value);
-    let rows: [(Corrupt, &str); 9] = [
+    let rows: [(Corrupt, &str); 22] = [
         (
             |v| *at(v, "state.vms.1.last_migration") = Value::Str("soon".into()),
             "state.vms[1].last_migration: not an unsigned integer",
@@ -281,6 +290,80 @@ fn decode_errors_name_the_corrupted_field() {
         (
             |v| *at(v, "hosts.1") = Value::F64(0.5),
             "checkpoint.hosts[1]: not an unsigned integer",
+        ),
+        // Well typed but out of range for building or running the
+        // cluster, each of which used to abort the process.
+        (
+            |v| *at(v, "config.hosts") = Value::U64(0),
+            "config.hosts: 0 is out of range (at least 2)",
+        ),
+        (
+            |v| *at(v, "config.gangs") = Value::U64(0),
+            "config.gangs: 0 is out of range (at least 1)",
+        ),
+        (
+            |v| *at(v, "config.pcpus") = Value::U64(0),
+            "config.pcpus: 0 is out of range (at least 1)",
+        ),
+        (
+            |v| *at(v, "config.pcpus") = Value::U64(129),
+            "config.pcpus: 129 is out of range (at most 128)",
+        ),
+        (
+            |v| *at(v, "config.epoch_ms") = Value::U64(0),
+            "config.epoch_ms: 0 is out of range (at least 1)",
+        ),
+        (
+            |v| *at(v, "config.audit_every") = Value::U64(0),
+            "config.audit_every: 0 is out of range (at least 1)",
+        ),
+        (
+            |v| *at(v, "config.max_moves") = Value::U64(0),
+            "config.max_moves: 0 is out of range (at least 1)",
+        ),
+        (
+            |v| *at(v, "config.faults.events.1.kind") = crash(99),
+            "config.faults.events[1].kind.Crash.host: host 99 is out of range \
+             (the cluster has 3 hosts)",
+        ),
+        (
+            |v| {
+                *at(v, "config.faults") = FaultPlan::parse("slow@4:h1:50").unwrap().to_value();
+                *at(v, "config.faults.events.0.kind.Slow.host") = Value::U64(3);
+            },
+            "config.faults.events[0].kind.Slow.host: host 3 is out of range \
+             (the cluster has 3 hosts)",
+        ),
+        (
+            |v| {
+                *at(v, "config.faults") = FaultPlan::parse("slow@4:h1:50").unwrap().to_value();
+                *at(v, "config.faults.events.0.kind.Slow.derate_pct") = Value::U64(100);
+            },
+            "config.faults.events[0].kind.Slow.derate_pct: 100 is out of range (1..=99)",
+        ),
+        (
+            |v| {
+                let plan = FaultPlan::parse("crash@5:h0,crash@6:h1,crash@7:h2").unwrap();
+                *at(v, "config.faults") = plan.to_value();
+            },
+            "config.faults: crashes every host; one must stay up to take the evacuated VMs",
+        ),
+        (
+            |v| {
+                let plan = ChurnPlan::parse("arrive@4:gang2,depart@5:h1:v0").unwrap();
+                *at(v, "config.churn") = plan.to_value();
+                *at(v, "config.churn.events.1.kind.Depart.host") = Value::U64(99);
+            },
+            "config.churn.events[1].kind.Depart.host: host 99 is out of range \
+             (the cluster has 3 hosts)",
+        ),
+        (
+            |v| {
+                let plan = ChurnPlan::parse("arrive@4:gang2").unwrap();
+                *at(v, "config.churn") = plan.to_value();
+                *at(v, "config.churn.events.0.kind.Arrive.shape.vcpus") = Value::U64(0);
+            },
+            "config.churn.events[0].kind.Arrive.shape.vcpus: 0 is out of range (at least 1)",
         ),
     ];
     for (corrupt, want) in rows {

@@ -39,5 +39,7 @@ pub mod machine;
 pub mod metrics;
 
 pub use config::{CapMode, CoschedPolicy, MachineConfig, VmSpec};
-pub use machine::{Ev, Machine, OracleMachine, PerfSnapshot, VmCounters, VmImage, VmRetirement};
+pub use machine::{
+    Ev, Machine, OracleMachine, PerfSnapshot, VmCounters, VmImage, VmRetirement, MAX_PCPUS,
+};
 pub use metrics::VmAccounting;

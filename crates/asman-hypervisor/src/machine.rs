@@ -137,6 +137,10 @@ impl Vcpu {
 /// `runq_pos` sentinel for a VCPU that is not in any runqueue.
 const NOT_QUEUED: usize = usize::MAX;
 
+/// Most PCPUs a machine can have: one bit each in the `u128` idle and
+/// queued masks. [`Machine::build`] refuses more.
+pub const MAX_PCPUS: usize = 128;
+
 struct Pcpu {
     runq: Vec<usize>,
     running: Option<usize>,
@@ -499,7 +503,10 @@ impl<Q: SimQueue<Ev>> Machine<Q> {
     /// implementation (see [`Machine::new`] for the optimized default).
     pub fn build(cfg: MachineConfig, specs: Vec<VmSpec>) -> Self {
         assert!(cfg.pcpus > 0, "need at least one PCPU");
-        assert!(cfg.pcpus <= 128, "the idle/queued masks hold 128 PCPUs");
+        assert!(
+            cfg.pcpus <= MAX_PCPUS,
+            "the idle/queued masks hold 128 PCPUs"
+        );
         assert!(!specs.is_empty(), "need at least one VM");
         let mut vms = Vec::with_capacity(specs.len());
         let mut vcpus = Vec::new();

@@ -845,18 +845,12 @@ fn run_soak(args: &Args) {
                 ck.state.epoch
             ));
         }
+        // The scenario is the checkpoint's whole configuration.
         soak::SoakParams {
-            hosts: ck.config.scenario.hosts,
-            gangs: ck.config.scenario.gangs,
             epochs,
-            epoch_ms: ck.config.epoch_ms,
-            seed: ck.config.scenario.seed,
             jobs: args.params.jobs,
-            churn: ck.config.churn.clone(),
-            audit_every: ck.config.audit_every,
             checkpoint_every: args.checkpoint_every,
             ckpt_dir: args.json_dir.clone(),
-            max_moves: ck.config.max_moves,
             resume: Some(ck),
             ..defaults
         }
@@ -880,7 +874,8 @@ fn run_soak(args: &Args) {
             ..defaults
         }
     };
-    let rep = soak::run(&p);
+    // Only a resume can fail: its replay did not reconverge.
+    let rep = soak::run(&p).unwrap_or_else(|e| fail(&format!("--resume {e}")));
     emit(args, "SOAK_report", rep.render(), rep.shape_checks(), &rep);
     if !rep.jobs_identical() {
         std::process::exit(1);

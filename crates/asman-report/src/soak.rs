@@ -44,7 +44,10 @@ use crate::progress;
 /// is a real assertion long before the horizon ends.
 pub const SOAK_SERIES_CAPACITY: usize = 4096;
 
-/// Parameters of a soak run.
+/// Parameters of a soak run. The scenario fields (`hosts`, `gangs`,
+/// `epoch_ms`, `seed`, `churn`, `audit_every`, `max_moves`) describe a
+/// fresh soak; a resumed one rebuilds from its checkpoint's
+/// configuration instead and ignores them.
 #[derive(Clone, Debug)]
 pub struct SoakParams {
     /// Host count.
@@ -73,9 +76,10 @@ pub struct SoakParams {
     pub checkpoint_every: u64,
     /// Directory for `CKPT_<epoch>.json` artifacts.
     pub ckpt_dir: Option<PathBuf>,
-    /// Resume from this checkpoint: the run replays to the checkpoint
-    /// epoch, proves the replay reconverged, applies the artifact's
-    /// control state authoritatively, and continues to the horizon —
+    /// Resume from this checkpoint: the run rebuilds the cluster from
+    /// the checkpoint's configuration, replays to the checkpoint epoch,
+    /// proves the replay reconverged, applies the artifact's control
+    /// state authoritatively, and continues to the horizon —
     /// byte-identical to the uninterrupted run.
     pub resume: Option<Checkpoint>,
     /// Per-epoch migration budget (`--max-moves`; 1 = the historical
@@ -105,9 +109,17 @@ impl Default for SoakParams {
 
 impl SoakParams {
     /// The rebuild recipe a checkpoint of this soak carries — also the
-    /// *only* path the soak builds clusters through, so resume is
-    /// guaranteed to reconstruct exactly what the original run had.
+    /// *only* path the soak builds clusters through. A resumed soak's
+    /// recipe is its checkpoint's whole configuration with the horizon
+    /// set to `epochs`, so what the artifact records (policy, faults,
+    /// cost model, PCPUs, ...) is what the continuation runs.
     pub fn checkpoint_config(&self, epochs: u64) -> CheckpointConfig {
+        if let Some(ck) = &self.resume {
+            return CheckpointConfig {
+                epochs,
+                ..ck.config.clone()
+            };
+        }
         let d = ClusterConfig::default();
         CheckpointConfig {
             scenario: ConsolidationSpec {
@@ -131,10 +143,6 @@ impl SoakParams {
             series_capacity: SOAK_SERIES_CAPACITY,
             max_moves: self.max_moves,
         }
-    }
-
-    fn cluster(&self, epochs: u64, jobs: usize) -> Cluster {
-        self.checkpoint_config(epochs).build_cluster(jobs)
     }
 }
 
@@ -293,10 +301,13 @@ impl SoakReport {
 /// determinism prefix. Panics (with the offending epoch) the moment a
 /// bounded-memory invariant breaks — a soak that limps on after a leak
 /// would bury the first failure under a hundred thousand more epochs.
-pub fn run(p: &SoakParams) -> SoakReport {
-    let mut c = p.cluster(p.epochs, p.jobs);
+///
+/// A resumed soak whose replay does not reconverge with its checkpoint
+/// stops there and returns the differing fields, one per line.
+pub fn run(p: &SoakParams) -> Result<SoakReport, String> {
+    let cfg = p.checkpoint_config(p.epochs);
+    let mut c = cfg.build_cluster(p.jobs);
     let initial = c.vm_count() as u64;
-    let max_moves = p.max_moves;
     let mut checkpoints = Vec::new();
     let take = |c: &Cluster, epoch: u64, checkpoints: &mut Vec<SoakCheckpoint>| {
         let occ = c.occupancy();
@@ -315,11 +326,11 @@ pub fn run(p: &SoakParams) -> SoakReport {
             "epoch {epoch}: slot table holds unaccounted slots"
         );
         assert!(
-            occ.pending_retries <= max_moves,
+            occ.pending_retries <= cfg.max_moves,
             "epoch {epoch}: retry chains accumulated past the move budget"
         );
         assert!(
-            occ.series_len <= SOAK_SERIES_CAPACITY,
+            occ.series_len <= cfg.series_capacity,
             "epoch {epoch}: series ring overflowed its capacity"
         );
         checkpoints.push(SoakCheckpoint {
@@ -336,11 +347,12 @@ pub fn run(p: &SoakParams) -> SoakReport {
         // serialized field load-bearing for the continuation.
         if let Some(ck) = p.resume.as_ref().filter(|ck| ck.state.epoch == done) {
             let errs = ck.validate(&c);
-            assert!(
-                errs.is_empty(),
-                "resume: replay diverged from the checkpoint at epoch {done}:\n  {}",
-                errs.join("\n  ")
-            );
+            if !errs.is_empty() {
+                return Err(format!(
+                    "replay diverged from the checkpoint at epoch {done}:\n  {}",
+                    errs.join("\n  ")
+                ));
+            }
             ck.apply(&mut c);
             progress!("resume: checkpoint validated and applied at epoch {done}");
         }
@@ -350,13 +362,13 @@ pub fn run(p: &SoakParams) -> SoakReport {
         // run's.
         if p.checkpoint_every != 0 && done % p.checkpoint_every == 0 {
             if let Some(dir) = &p.ckpt_dir {
-                let ck = Checkpoint::capture(&c, p.checkpoint_config(p.epochs));
+                let ck = Checkpoint::capture(&c, cfg.clone());
                 let path = crate::checkpoint::write_checkpoint(dir, &ck)
                     .expect("write checkpoint artifact");
                 progress!("wrote {}", path.display());
             }
         }
-        if done % p.audit_every == 0 {
+        if done % cfg.audit_every == 0 {
             take(&c, done, &mut checkpoints);
         }
     }
@@ -371,7 +383,7 @@ pub fn run(p: &SoakParams) -> SoakReport {
     // Determinism prefix: the same soak under 1 and 4 workers.
     let crosscheck_epochs = p.crosscheck_epochs.min(p.epochs);
     let prefix = |jobs: usize| {
-        let mut c = p.cluster(crosscheck_epochs, jobs);
+        let mut c = p.checkpoint_config(crosscheck_epochs).build_cluster(jobs);
         digest_report(&c.run())
     };
     let crosscheck_digest_jobs1 = prefix(1);
@@ -384,12 +396,12 @@ pub fn run(p: &SoakParams) -> SoakReport {
             .max()
             .unwrap_or(0)
     };
-    SoakReport {
+    Ok(SoakReport {
         epochs: p.epochs,
-        epoch_ms: p.epoch_ms,
-        seed: p.seed,
-        churn_arrivals_planned: p.churn.arrivals(),
-        churn_departures_planned: p.churn.departures(),
+        epoch_ms: cfg.epoch_ms,
+        seed: cfg.scenario.seed,
+        churn_arrivals_planned: cfg.churn.arrivals(),
+        churn_departures_planned: cfg.churn.departures(),
         peak_slots: peak(|o| o.slots),
         peak_resident: peak(|o| o.resident),
         peak_tombstones: peak(|o| o.tombstones),
@@ -399,5 +411,5 @@ pub fn run(p: &SoakParams) -> SoakReport {
         crosscheck_digest_jobs4,
         crosscheck_epochs,
         report,
-    }
+    })
 }

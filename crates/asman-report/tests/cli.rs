@@ -275,6 +275,156 @@ fn deeply_nested_checkpoint_exits_two() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A temporary directory holding a 40-epoch soak's checkpoint at epoch
+/// 20, for the edited-checkpoint tests below.
+struct SoakCheckpoint {
+    dir: std::path::PathBuf,
+}
+
+impl SoakCheckpoint {
+    fn new(tag: &str) -> SoakCheckpoint {
+        let dir = std::env::temp_dir().join(format!("asman-cli-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = repro(&[
+            "soak",
+            "--epochs",
+            "40",
+            "--checkpoint-every",
+            "20",
+            "--json",
+            dir.to_str().expect("utf8 temp dir"),
+            "-q",
+        ]);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "soak runs\nstderr: {}",
+            stderr(&out)
+        );
+        SoakCheckpoint { dir }
+    }
+
+    /// Write the epoch-20 checkpoint with its `config.<key>` replaced by
+    /// the JSON `value`, and return the new file's path.
+    fn edited(&self, key: &str, value: &str) -> String {
+        let text = std::fs::read_to_string(self.dir.join("CKPT_000000020.json")).unwrap();
+        let mut ck = serde_json::from_str(&text).expect("checkpoint parses");
+        let serde_json::Value::Object(top) = &mut ck else {
+            panic!("checkpoint is an object")
+        };
+        let config = &mut top.iter_mut().find(|(k, _)| k == "config").unwrap().1;
+        let serde_json::Value::Object(fields) = config else {
+            panic!("config is an object")
+        };
+        fields.iter_mut().find(|(k, _)| k == key).expect(key).1 =
+            serde_json::from_str(value).expect("edit parses");
+        let path = self.dir.join(format!("CKPT_edited_{key}.json"));
+        std::fs::write(&path, serde_json::to_vec_pretty(&ck).unwrap()).unwrap();
+        path.to_str().expect("utf8 temp path").to_string()
+    }
+}
+
+impl Drop for SoakCheckpoint {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+fn digest_line(out: &Output) -> String {
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout.lines().find(|l| l.starts_with("digest: "));
+    line.expect("soak prints its digest").to_string()
+}
+
+/// A resumed soak runs what its checkpoint records, not the soak's
+/// defaults: a crash added to the checkpoint's fault plan after its
+/// epoch passes validation, fires, and changes the outcome.
+#[test]
+fn resume_runs_the_checkpoints_whole_configuration() {
+    let ck = SoakCheckpoint::new("resume-config");
+    let straight = ck.edited("faults", r#"{"events": []}"#);
+    let out = repro(&["soak", "--resume", &straight, "-q"]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let straight_digest = digest_line(&out);
+
+    let crash = ck.edited(
+        "faults",
+        r#"{"events": [{"epoch": 30, "kind": {"Crash": {"host": 1}}}]}"#,
+    );
+    let json = ck.dir.join("resumed");
+    let out = repro(&[
+        "soak",
+        "--resume",
+        &crash,
+        "--json",
+        json.to_str().unwrap(),
+        "-q",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert_ne!(
+        digest_line(&out),
+        straight_digest,
+        "the crash changes the run"
+    );
+    let report = std::fs::read_to_string(json.join("SOAK_report.json")).unwrap();
+    let recovery = report
+        .split("\"recovery\"")
+        .nth(1)
+        .expect("a recovery section");
+    assert!(
+        recovery.contains(
+            r#""Healthy",
+        "Crashed",
+        "Healthy""#
+        ),
+        "host 1 is reported crashed:\n{recovery}"
+    );
+}
+
+/// A checkpoint whose values are well typed but out of range for the
+/// cluster, or whose replay does not reconverge with it, is refused
+/// with exit 2 naming `--resume`, not a panic.
+#[test]
+fn out_of_range_or_diverging_checkpoints_exit_two() {
+    let ck = SoakCheckpoint::new("resume-ranges");
+    for (key, value, needle) in [
+        (
+            "hosts",
+            "0",
+            "CKPT_edited_hosts.json: config.hosts: 0 is out of range (at least 2)",
+        ),
+        (
+            "pcpus",
+            "129",
+            "config.pcpus: 129 is out of range (at most 128)",
+        ),
+        (
+            "faults",
+            r#"{"events": [{"epoch": 30, "kind": {"Crash": {"host": 99}}}]}"#,
+            "config.faults.events[0].kind.Crash.host: host 99 is out of range (the cluster has 3 hosts)",
+        ),
+        (
+            "churn",
+            r#"{"events": [{"epoch": 30, "kind": {"Depart": {"host": 99, "slot": 0}}}]}"#,
+            "config.churn.events[0].kind.Depart.host: host 99 is out of range (the cluster has 3 hosts)",
+        ),
+        // Well typed and in range, but not the run that wrote the
+        // checkpoint: the replay diverges before epoch 20.
+        (
+            "seed",
+            "7",
+            "--resume replay diverged from the checkpoint at epoch 20:",
+        ),
+        (
+            "policy",
+            r#""static""#,
+            "--resume replay diverged from the checkpoint at epoch 20:\n  state.vms[0].host:",
+        ),
+    ] {
+        assert_usage_error(&["soak", "--resume", &ck.edited(key, value), "-q"], needle);
+    }
+}
+
 #[test]
 fn resume_conflicts_with_scenario_flags() {
     // The conflict is caught before the file is even opened — the

@@ -159,13 +159,16 @@ fn actual_digests() -> Vec<(&'static str, String)> {
         // checkpoints and slot-reuse cycles, short enough for CI.
         (
             "soak",
-            digest(&soak::run(&SoakParams {
-                epochs: 800,
-                churn: ChurnPlan::generate(42, 5, 800, 3),
-                audit_every: 200,
-                crosscheck_epochs: 200,
-                ..SoakParams::default()
-            })),
+            digest(
+                &soak::run(&SoakParams {
+                    epochs: 800,
+                    churn: ChurnPlan::generate(42, 5, 800, 3),
+                    audit_every: 200,
+                    crosscheck_epochs: 200,
+                    ..SoakParams::default()
+                })
+                .expect("a fresh soak has no checkpoint to diverge from"),
+            ),
         ),
         // The `repro timeline` panels: per-VCPU online spans rebuilt
         // from the scheduler's dispatch/preempt/block/park transitions.
