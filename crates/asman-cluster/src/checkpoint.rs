@@ -100,8 +100,34 @@ pub struct CheckpointConfig {
     pub max_moves: usize,
 }
 
+impl Default for CheckpointConfig {
+    /// The [`ClusterConfig::default`] values on the
+    /// [`ConsolidationSpec::default`] scenario, with no faults, churn,
+    /// slot reuse or series.
+    fn default() -> Self {
+        let d = ClusterConfig::default();
+        CheckpointConfig {
+            scenario: ConsolidationSpec::default(),
+            epoch_ms: d.epoch_ms,
+            epochs: d.epochs,
+            policy: d.policy,
+            cooldown_epochs: d.cooldown_epochs,
+            retry_cap: d.retry_cap,
+            audit_every: d.audit_every,
+            model: d.model,
+            faults: d.faults,
+            churn: d.churn,
+            slot_reuse: false,
+            series_capacity: 0,
+            max_moves: d.max_moves,
+        }
+    }
+}
+
 impl CheckpointConfig {
-    /// Rebuild a fresh cluster at epoch 0 from this configuration.
+    /// Build a fresh cluster at epoch 0 from this configuration. Every
+    /// `repro cluster`, `series`, `soak` and `bisect` run builds here,
+    /// so a fresh run's recipe and a checkpoint's `config` are one type.
     /// `jobs` is deliberately *not* part of the checkpoint: results are
     /// bit-identical for every worker count, so the restoring side
     /// picks its own.
@@ -202,9 +228,11 @@ impl CheckpointConfig {
 
     /// The first value [`CheckpointConfig::build_cluster`] or the run
     /// would assert on, with its path below the section: the scenario's
-    /// shape, the epoch length and cadences, and every host a fault or
-    /// churn event names. A fault plan must also leave one host up, as
-    /// the CLI demands, or the last crash has nowhere to evacuate to.
+    /// shape, the epoch length, retry cap and cadences, every host a
+    /// fault or churn event names, and each arrival's VCPU count and
+    /// weight, which the CLI's churn parser also refuses at 0. A fault
+    /// plan must also leave one host up, as the CLI demands, or the last
+    /// crash has nowhere to evacuate to.
     fn check_ranges(&self) -> Result<(), String> {
         let hosts = self.scenario.hosts;
         let minimums = [
@@ -212,6 +240,7 @@ impl CheckpointConfig {
             ("gangs", self.scenario.gangs as u64, 1),
             ("pcpus", self.scenario.pcpus as u64, 1),
             ("epoch_ms", self.epoch_ms, 1),
+            ("retry_cap", self.retry_cap as u64, 1),
             ("audit_every", self.audit_every, 1),
             ("max_moves", self.max_moves as u64, 1),
         ];
@@ -262,6 +291,12 @@ impl CheckpointConfig {
                 ChurnKind::Arrive { shape } if shape.vcpus == 0 => {
                     return Err(format!(
                         "{}.Arrive.shape.vcpus: 0 is out of range (at least 1)",
+                        at()
+                    ))
+                }
+                ChurnKind::Arrive { shape } if shape.weight == 0 => {
+                    return Err(format!(
+                        "{}.Arrive.shape.weight: 0 is out of range (at least 1)",
                         at()
                     ))
                 }
@@ -599,19 +634,10 @@ mod tests {
 
     fn small_config() -> CheckpointConfig {
         CheckpointConfig {
-            scenario: ConsolidationSpec::default(),
             epoch_ms: 50,
             epochs: 8,
             policy: Policy::VcrdAware,
-            cooldown_epochs: 3,
-            retry_cap: 3,
-            audit_every: 1,
-            model: MigrationModel::default(),
-            faults: FaultPlan::empty(),
-            churn: ChurnPlan::empty(),
-            slot_reuse: false,
-            series_capacity: 0,
-            max_moves: 1,
+            ..CheckpointConfig::default()
         }
     }
 

@@ -505,6 +505,7 @@ impl Cluster {
                 hosts.len()
             );
         }
+        assert!(cfg.retry_cap >= 1, "retry_cap must be at least 1");
         assert!(cfg.audit_every >= 1, "audit_every must be at least 1");
         assert!(cfg.max_moves >= 1, "max_moves must be at least 1");
         let state = ClusterState {

@@ -21,31 +21,18 @@
 //! The last test pins the decoder's refusals: one corrupted field of
 //! the epoch-2 image per row, and the exact message naming it.
 
-use asman_cluster::{
-    checkpoint::ClusterState, scenario::ConsolidationSpec, Checkpoint, CheckpointConfig, ChurnPlan,
-    ClusterConfig, Policy,
-};
+use asman_cluster::{checkpoint::ClusterState, Checkpoint, CheckpointConfig, ChurnPlan, Policy};
 use asman_sim::FaultPlan;
 use serde::{Serialize, Value};
 
 const EPOCHS: u64 = 12;
 
 fn config() -> CheckpointConfig {
-    let d = ClusterConfig::default();
     CheckpointConfig {
-        scenario: ConsolidationSpec::default(),
-        epoch_ms: d.epoch_ms,
         epochs: EPOCHS,
         policy: Policy::VcrdAware,
-        cooldown_epochs: d.cooldown_epochs,
-        retry_cap: d.retry_cap,
-        audit_every: d.audit_every,
-        model: d.model,
         faults: FaultPlan::parse("abort@0,abort@1").expect("fault plan"),
-        churn: ChurnPlan::empty(),
-        slot_reuse: false,
-        series_capacity: 0,
-        max_moves: 1,
+        ..CheckpointConfig::default()
     }
 }
 
@@ -240,7 +227,7 @@ fn decode_errors_name_the_corrupted_field() {
     let back = Checkpoint::from_value(&good).expect("the intact image decodes");
     assert_eq!(back.state, capture_at(&config(), 2).state);
     type Corrupt = fn(&mut Value);
-    let rows: [(Corrupt, &str); 22] = [
+    let rows: [(Corrupt, &str); 24] = [
         (
             |v| *at(v, "state.vms.1.last_migration") = Value::Str("soon".into()),
             "state.vms[1].last_migration: not an unsigned integer",
@@ -314,6 +301,10 @@ fn decode_errors_name_the_corrupted_field() {
             "config.epoch_ms: 0 is out of range (at least 1)",
         ),
         (
+            |v| *at(v, "config.retry_cap") = Value::U64(0),
+            "config.retry_cap: 0 is out of range (at least 1)",
+        ),
+        (
             |v| *at(v, "config.audit_every") = Value::U64(0),
             "config.audit_every: 0 is out of range (at least 1)",
         ),
@@ -364,6 +355,14 @@ fn decode_errors_name_the_corrupted_field() {
                 *at(v, "config.churn.events.0.kind.Arrive.shape.vcpus") = Value::U64(0);
             },
             "config.churn.events[0].kind.Arrive.shape.vcpus: 0 is out of range (at least 1)",
+        ),
+        (
+            |v| {
+                let plan = ChurnPlan::parse("arrive@4:gang2").unwrap();
+                *at(v, "config.churn") = plan.to_value();
+                *at(v, "config.churn.events.0.kind.Arrive.shape.weight") = Value::U64(0);
+            },
+            "config.churn.events[0].kind.Arrive.shape.weight: 0 is out of range (at least 1)",
         ),
     ];
     for (corrupt, want) in rows {

@@ -26,8 +26,8 @@
 
 use std::fmt::Write as _;
 
-use asman_core::{asman_setup, AsmanConfig};
-use asman_hypervisor::{CapMode, CoschedPolicy, Ev, Machine, MachineConfig, OracleMachine, VmSpec};
+use asman_core::AsmanConfig;
+use asman_hypervisor::{CapMode, Ev, Machine, MachineConfig, OracleMachine, VmSpec};
 use asman_sim::{
     check_episode_invariants, detect_lhp, CatMask, Clock, FlightEvent, Fnv, MetricsRegistry,
     SimQueue, SweepRunner,
@@ -162,39 +162,21 @@ fn specs_for(spec: &CellSpec) -> Vec<VmSpec> {
     vec![a, b]
 }
 
-/// Resolve a cell into the final `(MachineConfig, specs)` pair exactly
-/// the way [`crate::machine_for`] would, but without committing to a
-/// queue implementation — so the same inputs can feed either engine.
+/// Resolve a cell into its `(MachineConfig, specs)` pair with
+/// [`Sched::setup`], the mapping [`crate::machine_for`] builds with,
+/// and stop short of choosing a queue implementation, so the same
+/// inputs can feed either engine.
 fn resolved(spec: &CellSpec) -> (MachineConfig, Vec<VmSpec>) {
-    let cfg = MachineConfig {
+    let machine = MachineConfig {
         pcpus: spec.pcpus,
         seed: spec.seed,
         ..MachineConfig::default()
     };
-    let specs = specs_for(spec);
-    match spec.sched {
-        Sched::Credit => (
-            MachineConfig {
-                policy: CoschedPolicy::None,
-                ..cfg
-            },
-            specs,
-        ),
-        Sched::Con => (
-            MachineConfig {
-                policy: CoschedPolicy::Static,
-                ..cfg
-            },
-            specs,
-        ),
-        Sched::Asman => asman_setup(
-            AsmanConfig {
-                machine: cfg,
-                ..AsmanConfig::default()
-            },
-            specs,
-        ),
-    }
+    let tune = AsmanConfig {
+        machine,
+        ..AsmanConfig::default()
+    };
+    spec.sched.setup(tune, specs_for(spec))
 }
 
 /// A confirmed optimized-vs-oracle disagreement in one cell.

@@ -52,8 +52,9 @@ use std::fs;
 use std::path::PathBuf;
 use std::str::FromStr;
 
-use asman_cluster::{ChurnSpec, Policy};
+use asman_cluster::{scenario::ConsolidationSpec, CheckpointConfig, ChurnSpec, Policy};
 use asman_report::bisect::Mutation;
+use asman_report::cluster::{self, ClusterParams};
 use asman_report::figures::{
     fig01, fig02, fig07, fig08, fig09, fig10, fig11, fig12, FigureParams, ShapeCheck,
 };
@@ -318,19 +319,31 @@ impl Default for Args {
 }
 
 impl Args {
-    /// The resolved per-epoch move budget: explicit `--max-moves`, or
-    /// the scale default `max(1, hosts/8)` — 1 for every pinned
-    /// scenario (hosts <= 8), so defaults keep golden digests intact.
-    fn resolved_max_moves(&self) -> usize {
-        self.max_moves.unwrap_or_else(|| (self.hosts / 8).max(1))
-    }
-
-    /// The `--faults` plan, resolved against the cluster's horizon and
-    /// size.
-    fn fault_plan(&self) -> FaultPlan {
-        self.faults
-            .as_ref()
-            .map_or_else(FaultPlan::empty, |s| s.resolve(self.epochs, self.hosts))
+    /// The cluster the shared cluster flags make of `base`: `--hosts`,
+    /// `--vms` and `--seed` shape the scenario, `--faults` and `--churn`
+    /// are resolved against the horizon `epochs`, a churned run reuses
+    /// tombstone slots, and the move budget is `--max-moves` or the
+    /// scale default `max(1, hosts/8)` (1 for every pinned scenario, so
+    /// defaults keep golden digests intact).
+    fn recipe(&self, base: CheckpointConfig, epochs: u64) -> CheckpointConfig {
+        let churn = self.churn.resolve(epochs, self.hosts);
+        CheckpointConfig {
+            scenario: ConsolidationSpec {
+                hosts: self.hosts,
+                gangs: self.vms,
+                seed: self.params.seed,
+                ..base.scenario
+            },
+            epochs,
+            faults: self
+                .faults
+                .as_ref()
+                .map_or_else(FaultPlan::empty, |s| s.resolve(epochs, self.hosts)),
+            slot_reuse: base.slot_reuse || !churn.is_empty(),
+            churn,
+            max_moves: self.max_moves.unwrap_or((self.hosts / 8).max(1)),
+            ..base
+        }
     }
 }
 
@@ -557,7 +570,9 @@ fn parse_args() -> Args {
     if !unread.is_empty() {
         fail(&unread.join("\nrepro: "));
     }
-    check_faults("--faults", &a.fault_plan(), a.hosts);
+    if let Some(spec) = &a.faults {
+        check_faults("--faults", &spec.resolve(a.epochs, a.hosts), a.hosts);
+    }
     check_hosts("--churn", a.churn.resolve(1, a.hosts).max_host(), a.hosts);
     if let Some(spec) = &a.b_faults {
         check_faults("--b-faults", &spec.resolve(a.epochs, a.hosts), a.hosts);
@@ -690,14 +705,20 @@ fn run_audit(args: &Args) {
     }
 }
 
-/// The policies a cluster-family target compares, from `--policy`.
-fn cluster_policies(args: &Args) -> Vec<Policy> {
-    match args.policy {
+/// The cluster experiment the flags describe: the shared recipe, and
+/// the policies `--policy` names.
+fn cluster_params(args: &Args) -> ClusterParams {
+    let policies = match args.policy {
         // A single policy is always compared against the static
         // baseline, which anchors every shape check.
         Some(Policy::Static) => vec![Policy::Static],
         Some(p) => vec![Policy::Static, p],
         None => Policy::ALL.to_vec(),
+    };
+    ClusterParams {
+        recipe: args.recipe(CheckpointConfig::default(), args.epochs),
+        policies,
+        jobs: args.params.jobs,
     }
 }
 
@@ -707,19 +728,8 @@ fn cluster_policies(args: &Args) -> Vec<Policy> {
 /// flight-recorder streams and migration-span cost table of each
 /// compared policy.
 fn run_cluster(args: &Args) {
-    use asman_report::cluster;
     use serde::Serialize;
-    let policies = cluster_policies(args);
-    let p = cluster::ClusterParams {
-        hosts: args.hosts,
-        gangs: args.vms,
-        epochs: args.epochs,
-        seed: args.params.seed,
-        jobs: args.params.jobs,
-        policies: policies.clone(),
-        faults: args.fault_plan(),
-        max_moves: args.resolved_max_moves(),
-    };
+    let p = cluster_params(args);
     let exp = cluster::run(&p);
     emit(
         args,
@@ -737,7 +747,7 @@ fn run_cluster(args: &Args) {
             events: Vec<asman_sim::FlightEvent>,
         }
         fs::create_dir_all(&dir).expect("create trace dir");
-        for policy in policies {
+        for &policy in &p.policies {
             let (streams, metrics) = cluster::capture_flight(
                 &p,
                 policy,
@@ -781,19 +791,8 @@ fn run_cluster(args: &Args) {
 /// `--json DIR`, writes one `CLUSTER_series_<policy>.json` per policy
 /// (byte-identical for every `--jobs` value).
 fn run_series(args: &Args) {
-    use asman_report::cluster;
-
     let p = series::SeriesParams {
-        cluster: cluster::ClusterParams {
-            hosts: args.hosts,
-            gangs: args.vms,
-            epochs: args.epochs,
-            seed: args.params.seed,
-            jobs: args.params.jobs,
-            policies: cluster_policies(args),
-            faults: args.fault_plan(),
-            max_moves: args.resolved_max_moves(),
-        },
+        cluster: cluster_params(args),
         window: args.window,
         nsigma: args.nsigma,
     };
@@ -822,8 +821,14 @@ fn run_soak(args: &Args) {
     // A soak with no explicit --epochs runs its own long-horizon
     // default (or, resumed, the horizon the checkpointed run was headed
     // for), not the 8-epoch cluster-experiment default.
-    let epochs_given = args.given.contains(&"--epochs");
-    let p = if let Some(path) = &args.resume {
+    let horizon = |default| {
+        if args.given.contains(&"--epochs") {
+            args.epochs
+        } else {
+            default
+        }
+    };
+    let (recipe, resume) = if let Some(path) = &args.resume {
         // A directory means "the newest checkpoint in here", found by
         // numeric epoch (lexicographic order lies past epoch 999,999).
         let path = if path.is_dir() {
@@ -833,11 +838,7 @@ fn run_soak(args: &Args) {
         };
         let ck =
             checkpoint::read_checkpoint(&path).unwrap_or_else(|e| fail(&format!("--resume {e}")));
-        let epochs = if epochs_given {
-            args.epochs
-        } else {
-            ck.config.epochs
-        };
+        let epochs = horizon(ck.config.epochs);
         if ck.state.epoch >= epochs {
             fail(&format!(
                 "--resume checkpoint is at epoch {} but the horizon is {epochs}; \
@@ -846,33 +847,26 @@ fn run_soak(args: &Args) {
             ));
         }
         // The scenario is the checkpoint's whole configuration.
-        soak::SoakParams {
+        let recipe = CheckpointConfig {
             epochs,
-            jobs: args.params.jobs,
-            checkpoint_every: args.checkpoint_every,
-            ckpt_dir: args.json_dir.clone(),
-            resume: Some(ck),
-            ..defaults
-        }
-    } else {
-        let epochs = if epochs_given {
-            args.epochs
-        } else {
-            defaults.epochs
+            ..ck.config.clone()
         };
-        soak::SoakParams {
-            hosts: args.hosts,
-            gangs: args.vms,
-            epochs,
-            seed: args.params.seed,
-            jobs: args.params.jobs,
-            churn: args.churn.resolve(epochs, args.hosts),
+        (recipe, Some(ck))
+    } else {
+        let epochs = horizon(defaults.recipe.epochs);
+        let recipe = CheckpointConfig {
             audit_every: args.audit_every.min(epochs),
-            checkpoint_every: args.checkpoint_every,
-            ckpt_dir: args.json_dir.clone(),
-            max_moves: args.resolved_max_moves(),
-            ..defaults
-        }
+            ..args.recipe(defaults.recipe.clone(), epochs)
+        };
+        (recipe, None)
+    };
+    let p = soak::SoakParams {
+        recipe,
+        jobs: args.params.jobs,
+        checkpoint_every: args.checkpoint_every,
+        ckpt_dir: args.json_dir.clone(),
+        resume,
+        ..defaults
     };
     // Only a resume can fail: its replay did not reconverge.
     let rep = soak::run(&p).unwrap_or_else(|e| fail(&format!("--resume {e}")));
@@ -889,31 +883,12 @@ fn run_soak(args: &Args) {
 /// first divergent flight event in context. Exits 0 when the runs are
 /// bit-identical, 1 on divergence.
 fn run_bisect(args: &Args) {
-    use asman_cluster::{scenario::ConsolidationSpec, CheckpointConfig, ClusterConfig};
     use asman_report::bisect;
 
-    let d = ClusterConfig::default();
     let epochs = args.epochs;
-    let churn_a = args.churn.resolve(epochs, args.hosts);
     let a = CheckpointConfig {
-        scenario: ConsolidationSpec {
-            hosts: args.hosts,
-            gangs: args.vms,
-            seed: args.params.seed,
-            ..ConsolidationSpec::default()
-        },
-        epoch_ms: d.epoch_ms,
-        epochs,
         policy: args.policy.unwrap_or(Policy::VcrdAware),
-        cooldown_epochs: d.cooldown_epochs,
-        retry_cap: d.retry_cap,
-        audit_every: d.audit_every,
-        model: d.model,
-        faults: args.fault_plan(),
-        slot_reuse: !churn_a.is_empty(),
-        churn: churn_a,
-        series_capacity: 0,
-        max_moves: args.resolved_max_moves(),
+        ..args.recipe(CheckpointConfig::default(), epochs)
     };
     let mut b = a.clone();
     if let Some(p) = args.b_policy {

@@ -281,28 +281,17 @@ pub fn run(p: &BisectParams) -> BisectOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asman_cluster::{scenario::ConsolidationSpec, ChurnPlan, ClusterConfig, Policy};
-    use asman_sim::FaultPlan;
+    use asman_cluster::{scenario::ConsolidationSpec, Policy};
 
     fn config(seed: u64, policy: Policy, epochs: u64) -> CheckpointConfig {
-        let d = ClusterConfig::default();
         CheckpointConfig {
             scenario: ConsolidationSpec {
                 seed,
                 ..ConsolidationSpec::default()
             },
-            epoch_ms: d.epoch_ms,
             epochs,
             policy,
-            cooldown_epochs: d.cooldown_epochs,
-            retry_cap: d.retry_cap,
-            audit_every: d.audit_every,
-            model: d.model,
-            faults: FaultPlan::empty(),
-            churn: ChurnPlan::empty(),
-            slot_reuse: false,
-            series_capacity: 0,
-            max_moves: 1,
+            ..CheckpointConfig::default()
         }
     }
 

@@ -76,27 +76,13 @@ pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asman_cluster::{
-        scenario::ConsolidationSpec, CheckpointConfig, ChurnPlan, ClusterConfig, Policy,
-    };
-    use asman_sim::FaultPlan;
+    use asman_cluster::{CheckpointConfig, Policy};
 
     fn config() -> CheckpointConfig {
-        let d = ClusterConfig::default();
         CheckpointConfig {
-            scenario: ConsolidationSpec::default(),
-            epoch_ms: d.epoch_ms,
             epochs: 6,
             policy: Policy::VcrdAware,
-            cooldown_epochs: d.cooldown_epochs,
-            retry_cap: d.retry_cap,
-            audit_every: d.audit_every,
-            model: d.model,
-            faults: FaultPlan::empty(),
-            churn: ChurnPlan::empty(),
-            slot_reuse: false,
-            series_capacity: 0,
-            max_moves: 1,
+            ..CheckpointConfig::default()
         }
     }
 

@@ -14,11 +14,8 @@
 //! Neither layer reaches inside a host's simulation, so results are
 //! bit-identical for any worker count.
 
-use asman_cluster::{
-    scenario::{self, ConsolidationSpec},
-    ClusterConfig, ClusterReport, Policy,
-};
-use asman_sim::{CatMask, FaultPlan, FlightEvent, Fnv, MetricsRegistry, StreamBudget, SweepRunner};
+use asman_cluster::{CheckpointConfig, Cluster, ClusterReport, Policy};
+use asman_sim::{CatMask, FlightEvent, Fnv, MetricsRegistry, StreamBudget, SweepRunner};
 use serde::Serialize;
 use std::fmt::Write as _;
 
@@ -27,36 +24,27 @@ use crate::figures::ShapeCheck;
 /// Parameters of the cluster experiment.
 #[derive(Clone, Debug)]
 pub struct ClusterParams {
-    /// Host count (host 0 is the consolidated one).
-    pub hosts: usize,
-    /// Concurrent gang VMs packed onto host 0.
-    pub gangs: usize,
-    /// Balancer epochs to run.
-    pub epochs: u64,
-    /// Base seed.
-    pub seed: u64,
-    /// Sweep worker threads (0 = one per core).
-    pub jobs: usize,
+    /// The cluster every policy cell builds, with the cell's policy in
+    /// place of the recipe's.
+    pub recipe: CheckpointConfig,
     /// Policies to compare, in cell order.
     pub policies: Vec<Policy>,
-    /// Fault plan injected into every policy cell (empty = clean run).
-    pub faults: FaultPlan,
-    /// Per-epoch migration budget (`--max-moves`; 1 = the historical
-    /// single-move driver and the golden-digest baseline).
-    pub max_moves: usize,
+    /// Worker threads (0 = one per core). The same knob drives both
+    /// layers of parallelism: policy cells across the sweep, and host
+    /// advancement within each cluster's epochs. Both are bit-identical
+    /// for any count.
+    pub jobs: usize,
 }
 
 impl Default for ClusterParams {
     fn default() -> Self {
         ClusterParams {
-            hosts: 3,
-            gangs: 2,
-            epochs: 8,
-            seed: 42,
-            jobs: 0,
+            recipe: CheckpointConfig {
+                epochs: 8,
+                ..CheckpointConfig::default()
+            },
             policies: Policy::ALL.to_vec(),
-            faults: FaultPlan::empty(),
-            max_moves: 1,
+            jobs: 0,
         }
     }
 }
@@ -67,27 +55,16 @@ impl Default for ClusterParams {
 pub const CLUSTER_STREAM_BUDGET: usize = 1_000_000;
 
 impl ClusterParams {
-    pub(crate) fn cluster_config(&self, policy: Policy) -> ClusterConfig {
-        ClusterConfig {
+    /// The recipe of `policy`'s cell.
+    pub(crate) fn recipe_for(&self, policy: Policy) -> CheckpointConfig {
+        CheckpointConfig {
             policy,
-            epochs: self.epochs,
-            faults: self.faults.clone(),
-            // The same knob drives both layers of parallelism: policy
-            // cells across the sweep, and host advancement within each
-            // cluster's epochs. Both are bit-identical for any count.
-            jobs: self.jobs,
-            max_moves: self.max_moves,
-            ..ClusterConfig::default()
+            ..self.recipe.clone()
         }
     }
 
-    pub(crate) fn scenario_spec(&self) -> ConsolidationSpec {
-        ConsolidationSpec {
-            hosts: self.hosts,
-            gangs: self.gangs,
-            seed: self.seed,
-            ..ConsolidationSpec::default()
-        }
+    fn build(&self, policy: Policy) -> Cluster {
+        self.recipe_for(policy).build_cluster(self.jobs)
     }
 }
 
@@ -124,24 +101,20 @@ pub fn digest_report(report: &ClusterReport) -> String {
     format!("{:016x}", h.finish())
 }
 
-/// Run one policy cell to its report.
-fn run_cell(p: &ClusterParams, policy: Policy) -> ClusterReport {
-    scenario::consolidation_cluster(p.cluster_config(policy), &p.scenario_spec()).run()
-}
-
 /// Run the experiment: every requested policy as an independent sweep
 /// cell.
 pub fn run(p: &ClusterParams) -> ClusterExperiment {
     let outcomes = SweepRunner::new(p.jobs).map(p.policies.clone(), |policy| {
-        let report = run_cell(p, policy);
+        let report = p.build(policy).run();
         let digest = digest_report(&report);
         PolicyOutcome { report, digest }
     });
+    let r = &p.recipe;
     ClusterExperiment {
-        hosts: p.hosts,
-        gangs: p.gangs,
-        epochs: p.epochs,
-        seed: p.seed,
+        hosts: r.scenario.hosts,
+        gangs: r.scenario.gangs,
+        epochs: r.epochs,
+        seed: r.scenario.seed,
         outcomes,
     }
 }
@@ -164,7 +137,7 @@ pub fn capture_flight(
     capacity: usize,
     stream_budget: usize,
 ) -> (Vec<(usize, Vec<FlightEvent>)>, MetricsRegistry) {
-    let mut cluster = scenario::consolidation_cluster(p.cluster_config(policy), &p.scenario_spec());
+    let mut cluster = p.build(policy);
     cluster.enable_flight(mask, capacity);
     cluster.run();
     let mut reg = MetricsRegistry::new();
@@ -339,13 +312,22 @@ impl ClusterExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asman_sim::FaultPlan;
 
-    fn small() -> ClusterParams {
+    /// The default experiment over `epochs` epochs on one worker.
+    fn over(epochs: u64) -> ClusterParams {
         ClusterParams {
-            epochs: 6,
+            recipe: CheckpointConfig {
+                epochs,
+                ..CheckpointConfig::default()
+            },
             jobs: 1,
             ..ClusterParams::default()
         }
+    }
+
+    fn small() -> ClusterParams {
+        over(6)
     }
 
     #[test]
@@ -370,11 +352,9 @@ mod tests {
     /// default scenario: epoch 0's first move aborts and commits on
     /// retry at epoch 1; host 1 crashes at epoch 4 and is evacuated.
     fn faulted() -> ClusterParams {
-        ClusterParams {
-            jobs: 1,
-            faults: FaultPlan::parse("abort@0,crash@4:h1").unwrap(),
-            ..ClusterParams::default()
-        }
+        let mut p = over(8);
+        p.recipe.faults = FaultPlan::parse("abort@0,crash@4:h1").unwrap();
+        p
     }
 
     #[test]
@@ -539,11 +519,7 @@ mod tests {
 
     #[test]
     fn flight_capture_tags_every_host() {
-        let p = ClusterParams {
-            epochs: 2,
-            jobs: 1,
-            ..ClusterParams::default()
-        };
+        let p = over(2);
         let (streams, _) = capture_flight(
             &p,
             Policy::Static,
@@ -551,13 +527,14 @@ mod tests {
             50_000,
             CLUSTER_STREAM_BUDGET,
         );
-        assert_eq!(streams.len(), p.hosts);
+        let hosts = p.recipe.scenario.hosts;
+        assert_eq!(streams.len(), hosts);
         assert!(
             streams.iter().all(|(_, evs)| !evs.is_empty()),
             "every host must record activity"
         );
         for (h, evs) in &streams {
-            assert!(*h < p.hosts);
+            assert!(*h < hosts);
             assert!(
                 evs.windows(2).all(|w| w[0].t <= w[1].t),
                 "streams are time-ordered"
@@ -571,11 +548,7 @@ mod tests {
     #[test]
     fn stream_budget_caps_total_capture_memory() {
         asman_sim::trace::set_overflow_warnings(false);
-        let p = ClusterParams {
-            epochs: 2,
-            jobs: 1,
-            ..ClusterParams::default()
-        };
+        let p = over(2);
         let (unbounded, _) = capture_flight(
             &p,
             Policy::Static,

@@ -10,7 +10,7 @@
 //! high-throughput (SPEC-rate) workloads repeatedly; the measurement is
 //! the mean run time of the first ten rounds.
 
-use asman_core::{asman_machine, AsmanConfig};
+use asman_core::{asman_setup, AsmanConfig};
 use asman_guest::GuestStats;
 use asman_hypervisor::{CapMode, CoschedPolicy, Machine, MachineConfig, VmSpec};
 use asman_sim::Cycles;
@@ -41,6 +41,29 @@ impl Sched {
 
     /// All three schedulers.
     pub const ALL: [Sched; 3] = [Sched::Credit, Sched::Asman, Sched::Con];
+
+    /// The machine configuration and VM specs this scheduler runs:
+    /// `tune.machine` under the scheduler's [`CoschedPolicy`], and under
+    /// [`Sched::Asman`] a Monitoring Module with `tune`'s monitor and
+    /// learning parameters on every VM. The one mapping from a
+    /// scheduler label to a machine; it does not commit to a queue
+    /// implementation, so the differential audit feeds its result to
+    /// either engine. For [`Sched::Con`] the specs are expected to
+    /// carry `concurrent_hint` flags already.
+    pub fn setup(self, tune: AsmanConfig, specs: Vec<VmSpec>) -> (MachineConfig, Vec<VmSpec>) {
+        let policy = match self {
+            Sched::Credit => CoschedPolicy::None,
+            Sched::Con => CoschedPolicy::Static,
+            Sched::Asman => return asman_setup(tune, specs),
+        };
+        (
+            MachineConfig {
+                policy,
+                ..tune.machine
+            },
+            specs,
+        )
+    }
 }
 
 /// The paper's four V1 weights and the resulting online rates.
@@ -70,33 +93,15 @@ pub fn dom0_vm(name: &str, vcpus: usize, seed: u64) -> VmSpec {
     )
 }
 
-/// Build a machine under the given scheduler. For [`Sched::Asman`] every
-/// VM gets a Monitoring Module; for [`Sched::Con`] the supplied specs are
-/// expected to carry `concurrent_hint` flags already.
+/// Build a machine under the given scheduler with ASMan's default
+/// parameters (see [`Sched::setup`]).
 pub fn machine_for(sched: Sched, cfg: MachineConfig, specs: Vec<VmSpec>) -> Machine {
-    match sched {
-        Sched::Credit => Machine::new(
-            MachineConfig {
-                policy: CoschedPolicy::None,
-                ..cfg
-            },
-            specs,
-        ),
-        Sched::Con => Machine::new(
-            MachineConfig {
-                policy: CoschedPolicy::Static,
-                ..cfg
-            },
-            specs,
-        ),
-        Sched::Asman => asman_machine(
-            AsmanConfig {
-                machine: cfg,
-                ..AsmanConfig::default()
-            },
-            specs,
-        ),
-    }
+    let tune = AsmanConfig {
+        machine: cfg,
+        ..AsmanConfig::default()
+    };
+    let (cfg, specs) = sched.setup(tune, specs);
+    Machine::new(cfg, specs)
 }
 
 /// Single-VM experiment configuration (§5.2 testbed).
@@ -160,7 +165,7 @@ impl SingleVmScenario {
     /// under [`Sched::Asman`], its monitor and learning parameters. The
     /// hook of the design-parameter ablations.
     pub fn build_tuned(&self, program: Box<dyn Program>, tune: AsmanConfig) -> Machine {
-        let cfg = MachineConfig {
+        let machine = MachineConfig {
             seed: self.seed,
             ..tune.machine
         };
@@ -172,16 +177,8 @@ impl SingleVmScenario {
             v1 = v1.costs(c);
         }
         let specs = vec![dom0_vm("V0", 8, self.seed ^ 0xD0), v1];
-        match self.sched {
-            Sched::Asman => asman_machine(
-                AsmanConfig {
-                    machine: cfg,
-                    ..tune
-                },
-                specs,
-            ),
-            sched => machine_for(sched, cfg, specs),
-        }
+        let (cfg, specs) = self.sched.setup(AsmanConfig { machine, ..tune }, specs);
+        Machine::new(cfg, specs)
     }
 }
 

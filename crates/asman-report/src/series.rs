@@ -17,7 +17,7 @@
 //! faulted. Wall-clock self-profiling deliberately lives elsewhere
 //! (the `benchmark/` package), where bit-identity is not promised.
 
-use asman_cluster::{scenario, Policy};
+use asman_cluster::{CheckpointConfig, Policy};
 use asman_sim::{detect_anomalies, sparkline, Anomaly, EpochSample, SweepRunner};
 use serde::Serialize;
 use std::fmt::Write as _;
@@ -126,11 +126,12 @@ fn quantiles(h: &asman_sim::QuantileHist) -> (u64, f64, f64) {
 
 /// Run one policy cell with telemetry armed.
 fn run_cell(p: &SeriesParams, policy: Policy) -> PolicySeries {
-    let mut cluster = scenario::consolidation_cluster(
-        p.cluster.cluster_config(policy),
-        &p.cluster.scenario_spec(),
-    );
-    cluster.enable_series(p.cluster.epochs as usize);
+    let recipe = CheckpointConfig {
+        // One sample per epoch; a zero-epoch run keeps an empty ring.
+        series_capacity: (p.cluster.recipe.epochs as usize).max(1),
+        ..p.cluster.recipe_for(policy)
+    };
+    let mut cluster = recipe.build_cluster(p.cluster.jobs);
     cluster.enable_sched_latency();
     let report = cluster.run();
     let sampler = cluster.series().expect("series enabled above");
@@ -182,11 +183,12 @@ fn run_cell(p: &SeriesParams, policy: Policy) -> PolicySeries {
 pub fn run(p: &SeriesParams) -> SeriesReport {
     let outcomes = SweepRunner::new(p.cluster.jobs)
         .map(p.cluster.policies.clone(), |policy| run_cell(p, policy));
+    let r = &p.cluster.recipe;
     SeriesReport {
-        hosts: p.cluster.hosts,
-        gangs: p.cluster.gangs,
-        epochs: p.cluster.epochs,
-        seed: p.cluster.seed,
+        hosts: r.scenario.hosts,
+        gangs: r.scenario.gangs,
+        epochs: r.epochs,
+        seed: r.scenario.seed,
         window: p.window,
         nsigma: p.nsigma,
         outcomes,
@@ -304,7 +306,10 @@ mod tests {
     fn small() -> SeriesParams {
         SeriesParams {
             cluster: ClusterParams {
-                epochs: 6,
+                recipe: CheckpointConfig {
+                    epochs: 6,
+                    ..CheckpointConfig::default()
+                },
                 jobs: 1,
                 ..ClusterParams::default()
             },
@@ -365,7 +370,7 @@ mod tests {
     #[test]
     fn faulted_series_reports_crash_and_stays_jobs_independent() {
         let mut p = small();
-        p.cluster.faults = FaultPlan::parse("abort@0,crash@4:h1").unwrap();
+        p.cluster.recipe.faults = FaultPlan::parse("abort@0,crash@4:h1").unwrap();
         let seq = run(&p);
         let aware = seq
             .outcomes

@@ -11,8 +11,9 @@
 //! Three mechanisms keep a 100k-epoch run honest *and* affordable:
 //!
 //! * **Amortized auditing** — the cluster's O(registry + records)
-//!   invariant auditor runs every [`SoakParams::audit_every`] epochs
-//!   (plus unconditionally at the end) instead of every boundary.
+//!   invariant auditor runs every [`CheckpointConfig::audit_every`]
+//!   epochs of the soak's recipe (plus unconditionally at the end)
+//!   instead of every boundary.
 //! * **Occupancy checkpoints** — at every audit boundary the driver
 //!   samples [`Cluster::occupancy`], the RSS proxy: host slot tables,
 //!   series-ring fill, pending retry chains. Each checkpoint asserts
@@ -26,11 +27,7 @@
 //!   must match byte-for-byte, extending the repo's determinism
 //!   contract to churned long-horizon runs.
 
-use asman_cluster::{
-    scenario::ConsolidationSpec, Checkpoint, CheckpointConfig, ChurnPlan, Cluster, ClusterConfig,
-    Occupancy, Policy,
-};
-use asman_sim::FaultPlan;
+use asman_cluster::{Checkpoint, CheckpointConfig, Cluster, Occupancy, Policy};
 use serde::Serialize;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -44,30 +41,17 @@ use crate::progress;
 /// is a real assertion long before the horizon ends.
 pub const SOAK_SERIES_CAPACITY: usize = 4096;
 
-/// Parameters of a soak run. The scenario fields (`hosts`, `gangs`,
-/// `epoch_ms`, `seed`, `churn`, `audit_every`, `max_moves`) describe a
-/// fresh soak; a resumed one rebuilds from its checkpoint's
-/// configuration instead and ignores them.
+/// Parameters of a soak run.
 #[derive(Clone, Debug)]
 pub struct SoakParams {
-    /// Host count.
-    pub hosts: usize,
-    /// Gang VMs consolidated on host 0 at the start.
-    pub gangs: usize,
-    /// Epochs to run (the soak horizon).
-    pub epochs: u64,
-    /// Epoch length in milliseconds. The soak default is much shorter
-    /// than the experiment targets': a soak exercises epoch-boundary
-    /// *logic* per unit of wall time, not per-epoch guest behavior.
-    pub epoch_ms: u64,
-    /// Base seed.
-    pub seed: u64,
+    /// The cluster the soak builds and runs to its `epochs` horizon,
+    /// and the `config` its checkpoints record. A resumed soak's recipe
+    /// is its checkpoint's configuration with the horizon replaced, so
+    /// what the artifact records (policy, faults, cost model, PCPUs,
+    /// ...) is what the continuation runs.
+    pub recipe: CheckpointConfig,
     /// Worker threads for the main run (0 = one per core).
     pub jobs: usize,
-    /// Resolved churn plan (may be empty for a churn-free soak).
-    pub churn: ChurnPlan,
-    /// Audit + occupancy-checkpoint cadence in epochs.
-    pub audit_every: u64,
     /// Epochs of the jobs-1-vs-4 determinism cross-check prefix
     /// (clamped to the horizon).
     pub crosscheck_epochs: u64,
@@ -77,71 +61,35 @@ pub struct SoakParams {
     /// Directory for `CKPT_<epoch>.json` artifacts.
     pub ckpt_dir: Option<PathBuf>,
     /// Resume from this checkpoint: the run rebuilds the cluster from
-    /// the checkpoint's configuration, replays to the checkpoint epoch,
-    /// proves the replay reconverged, applies the artifact's control
-    /// state authoritatively, and continues to the horizon —
-    /// byte-identical to the uninterrupted run.
+    /// the recipe, replays to the checkpoint epoch, proves the replay
+    /// reconverged, applies the artifact's control state
+    /// authoritatively, and continues to the horizon — byte-identical
+    /// to the uninterrupted run.
     pub resume: Option<Checkpoint>,
-    /// Per-epoch migration budget (`--max-moves`; 1 = the historical
-    /// single-chain driver).
-    pub max_moves: usize,
 }
 
 impl Default for SoakParams {
     fn default() -> Self {
         SoakParams {
-            hosts: 3,
-            gangs: 2,
-            epochs: 100_000,
-            epoch_ms: 5,
-            seed: 42,
+            recipe: CheckpointConfig {
+                epochs: 100_000,
+                // Much shorter than the experiment targets' epochs: a
+                // soak exercises epoch-boundary *logic* per unit of wall
+                // time, not per-epoch guest behavior.
+                epoch_ms: 5,
+                policy: Policy::VcrdAware,
+                audit_every: 1_000,
+                // A soak is exactly the workload slot reuse exists for:
+                // without it, host slot tables grow with every arrival.
+                slot_reuse: true,
+                series_capacity: SOAK_SERIES_CAPACITY,
+                ..CheckpointConfig::default()
+            },
             jobs: 0,
-            churn: ChurnPlan::empty(),
-            audit_every: 1_000,
             crosscheck_epochs: 2_000,
             checkpoint_every: 0,
             ckpt_dir: None,
             resume: None,
-            max_moves: 1,
-        }
-    }
-}
-
-impl SoakParams {
-    /// The rebuild recipe a checkpoint of this soak carries — also the
-    /// *only* path the soak builds clusters through. A resumed soak's
-    /// recipe is its checkpoint's whole configuration with the horizon
-    /// set to `epochs`, so what the artifact records (policy, faults,
-    /// cost model, PCPUs, ...) is what the continuation runs.
-    pub fn checkpoint_config(&self, epochs: u64) -> CheckpointConfig {
-        if let Some(ck) = &self.resume {
-            return CheckpointConfig {
-                epochs,
-                ..ck.config.clone()
-            };
-        }
-        let d = ClusterConfig::default();
-        CheckpointConfig {
-            scenario: ConsolidationSpec {
-                hosts: self.hosts,
-                gangs: self.gangs,
-                seed: self.seed,
-                ..ConsolidationSpec::default()
-            },
-            epoch_ms: self.epoch_ms,
-            epochs,
-            policy: Policy::VcrdAware,
-            cooldown_epochs: d.cooldown_epochs,
-            retry_cap: d.retry_cap,
-            audit_every: self.audit_every,
-            model: d.model,
-            faults: FaultPlan::empty(),
-            churn: self.churn.clone(),
-            // A soak is exactly the workload slot reuse exists for:
-            // without it, host slot tables grow with every arrival.
-            slot_reuse: true,
-            series_capacity: SOAK_SERIES_CAPACITY,
-            max_moves: self.max_moves,
         }
     }
 }
@@ -305,7 +253,8 @@ impl SoakReport {
 /// A resumed soak whose replay does not reconverge with its checkpoint
 /// stops there and returns the differing fields, one per line.
 pub fn run(p: &SoakParams) -> Result<SoakReport, String> {
-    let cfg = p.checkpoint_config(p.epochs);
+    let cfg = &p.recipe;
+    let epochs = cfg.epochs;
     let mut c = cfg.build_cluster(p.jobs);
     let initial = c.vm_count() as u64;
     let mut checkpoints = Vec::new();
@@ -338,7 +287,7 @@ pub fn run(p: &SoakParams) -> Result<SoakReport, String> {
             occupancy: occ,
         });
     };
-    for epoch in 0..p.epochs {
+    for epoch in 0..epochs {
         c.run_epoch();
         let done = epoch + 1;
         // Resume: the loop above IS the replay. At the checkpoint's
@@ -375,16 +324,19 @@ pub fn run(p: &SoakParams) -> Result<SoakReport, String> {
     // End-of-run audit is unconditional, as in [`Cluster::run`].
     c.audit_check();
     let report = c.report();
-    if checkpoints.last().is_none_or(|ck| ck.epoch != p.epochs) {
-        take(&c, p.epochs, &mut checkpoints);
+    if checkpoints.last().is_none_or(|ck| ck.epoch != epochs) {
+        take(&c, epochs, &mut checkpoints);
     }
     let digest = digest_report(&report);
 
     // Determinism prefix: the same soak under 1 and 4 workers.
-    let crosscheck_epochs = p.crosscheck_epochs.min(p.epochs);
+    let crosscheck_epochs = p.crosscheck_epochs.min(epochs);
     let prefix = |jobs: usize| {
-        let mut c = p.checkpoint_config(crosscheck_epochs).build_cluster(jobs);
-        digest_report(&c.run())
+        let recipe = CheckpointConfig {
+            epochs: crosscheck_epochs,
+            ..cfg.clone()
+        };
+        digest_report(&recipe.build_cluster(jobs).run())
     };
     let crosscheck_digest_jobs1 = prefix(1);
     let crosscheck_digest_jobs4 = prefix(4);
@@ -397,7 +349,7 @@ pub fn run(p: &SoakParams) -> Result<SoakReport, String> {
             .unwrap_or(0)
     };
     Ok(SoakReport {
-        epochs: p.epochs,
+        epochs,
         epoch_ms: cfg.epoch_ms,
         seed: cfg.scenario.seed,
         churn_arrivals_planned: cfg.churn.arrivals(),

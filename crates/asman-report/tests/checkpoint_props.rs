@@ -27,9 +27,7 @@
 //! and single-bit flip of a real checkpoint file must come back from
 //! `read_checkpoint` as `Ok` or `Err`, never as a panic.
 
-use asman_cluster::{
-    scenario::ConsolidationSpec, Checkpoint, CheckpointConfig, ChurnPlan, ClusterConfig, Policy,
-};
+use asman_cluster::{scenario::ConsolidationSpec, Checkpoint, CheckpointConfig, ChurnPlan, Policy};
 use asman_report::checkpoint::{read_checkpoint, write_checkpoint};
 use asman_sim::FaultPlan;
 use proptest::prelude::*;
@@ -45,7 +43,6 @@ fn config(
     churn_rate: u32,
     max_moves: usize,
 ) -> CheckpointConfig {
-    let d = ClusterConfig::default();
     let spec = ConsolidationSpec {
         seed,
         ..ConsolidationSpec::default()
@@ -57,13 +54,8 @@ fn config(
     };
     CheckpointConfig {
         scenario: spec,
-        epoch_ms: d.epoch_ms,
         epochs: EPOCHS,
         policy,
-        cooldown_epochs: d.cooldown_epochs,
-        retry_cap: d.retry_cap,
-        audit_every: d.audit_every,
-        model: d.model,
         faults: if faults.is_empty() {
             FaultPlan::empty()
         } else {
@@ -73,6 +65,7 @@ fn config(
         slot_reuse: churn_rate != 0,
         series_capacity: 64,
         max_moves,
+        ..CheckpointConfig::default()
     }
 }
 
@@ -235,25 +228,21 @@ proptest! {
 /// through the file round trip and finish byte-identical.
 #[test]
 fn checkpoint_v2_round_trips_with_two_live_chains() {
-    let d = ClusterConfig::default();
     let cfg = CheckpointConfig {
         scenario: ConsolidationSpec {
             hosts: 6,
             ..ConsolidationSpec::default()
         },
-        epoch_ms: d.epoch_ms,
         epochs: 12,
         policy: Policy::VcrdAware,
-        cooldown_epochs: d.cooldown_epochs,
         retry_cap: 10,
-        audit_every: d.audit_every,
-        model: d.model,
         faults: FaultPlan::parse("abort@0,abort@1,abort@2,abort@3").expect("fault plan"),
         churn: ChurnPlan::parse("depart@0:h1:v0,arrive@0:gang3,arrive@0:gang3")
             .expect("churn plan"),
         slot_reuse: true,
         series_capacity: 64,
         max_moves: 2,
+        ..CheckpointConfig::default()
     };
     let at = 4;
     let mut c = cfg.build_cluster(1);

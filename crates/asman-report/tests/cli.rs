@@ -408,6 +408,16 @@ fn out_of_range_or_diverging_checkpoints_exit_two() {
             r#"{"events": [{"epoch": 30, "kind": {"Depart": {"host": 99, "slot": 0}}}]}"#,
             "config.churn.events[0].kind.Depart.host: host 99 is out of range (the cluster has 3 hosts)",
         ),
+        (
+            "retry_cap",
+            "0",
+            "config.retry_cap: 0 is out of range (at least 1)",
+        ),
+        (
+            "churn",
+            r#"{"events": [{"epoch": 30, "kind": {"Arrive": {"shape": {"kind": "Gang", "vcpus": 2, "weight": 0}}}}]}"#,
+            "config.churn.events[0].kind.Arrive.shape.weight: 0 is out of range (at least 1)",
+        ),
         // Well typed and in range, but not the run that wrote the
         // checkpoint: the replay diverges before epoch 20.
         (

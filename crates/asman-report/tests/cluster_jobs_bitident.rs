@@ -17,7 +17,7 @@
 //! Any divergence means worker scheduling leaked into simulation
 //! results — the one thing the epoch-barrier design must never allow.
 
-use asman_cluster::Policy;
+use asman_cluster::{scenario::ConsolidationSpec, CheckpointConfig, Policy};
 use asman_report::cluster::{self, ClusterParams, CLUSTER_STREAM_BUDGET};
 use asman_report::{flightrec, series};
 use asman_sim::{merge_streams, CatMask, FaultPlan};
@@ -26,14 +26,20 @@ const JOBS_SWEEP: [usize; 3] = [1, 2, 8];
 
 fn params(jobs: usize, faults: FaultPlan) -> ClusterParams {
     ClusterParams {
-        hosts: 4,
-        gangs: 2,
-        epochs: 6,
-        seed: 42,
-        jobs,
+        recipe: CheckpointConfig {
+            scenario: ConsolidationSpec {
+                hosts: 4,
+                gangs: 2,
+                seed: 42,
+                ..ConsolidationSpec::default()
+            },
+            epochs: 6,
+            faults,
+            max_moves: 1,
+            ..CheckpointConfig::default()
+        },
         policies: Policy::ALL.to_vec(),
-        faults,
-        max_moves: 1,
+        jobs,
     }
 }
 

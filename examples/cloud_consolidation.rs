@@ -64,7 +64,7 @@ fn main() {
         "{:<8} {:>14} {:>14} {:>14} {:>14}",
         "policy", "solver rounds", "webapp tx/s", "batch rounds", "solver >2^20"
     );
-    for policy in [Policy::Credit, Policy::Con, Policy::Asman] {
+    for policy in [Sched::Credit, Sched::Con, Sched::Asman] {
         let mut m = SimulationBuilder::new()
             .seed(99)
             .policy(policy)

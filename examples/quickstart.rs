@@ -18,7 +18,7 @@ fn main() {
         "{:<8} {:>9} {:>9} {:>9} {:>8} {:>8}",
         "policy", "run(s)", ">2^10", ">2^20", "raises", "high%"
     );
-    for policy in [Policy::Credit, Policy::Asman] {
+    for policy in [Sched::Credit, Sched::Asman] {
         let lu = NasSpec::new(NasBenchmark::LU, ProblemClass::S, 4).build(7);
         let dom0 = BackgroundService::new(BackgroundConfig::default(), 8, 0xD0);
         let mut machine = SimulationBuilder::new()

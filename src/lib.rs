@@ -20,11 +20,11 @@
 //! // LU (tiny class) on a 4-VCPU VM capped at a 40% online rate,
 //! // under the Credit scheduler and under ASMan.
 //! let mut results = Vec::new();
-//! for policy in [Policy::Credit, Policy::Asman] {
+//! for sched in [Sched::Credit, Sched::Asman] {
 //!     let lu = NasSpec::new(NasBenchmark::LU, ProblemClass::S, 4).build(7);
 //!     let mut machine = SimulationBuilder::new()
 //!         .seed(42)
-//!         .policy(policy)
+//!         .policy(sched)
 //!         .vm(VmSpec::new("dom0", 8, Box::new(ScriptProgram::homogeneous("idle", 8, vec![]))))
 //!         .vm(VmSpec::new("guest", 4, Box::new(lu))
 //!             .weight(64)
@@ -59,19 +59,10 @@ pub use asman_report as report;
 pub use asman_sim as sim;
 pub use asman_workloads as workloads;
 
-use asman_core::{asman_machine, AsmanConfig};
-use asman_hypervisor::{CoschedPolicy, Machine, MachineConfig, VmSpec};
+pub use asman_report::Sched;
 
-/// Scheduling policy selector for [`SimulationBuilder`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Policy {
-    /// Unmodified Credit scheduler.
-    Credit,
-    /// Static coscheduling of `concurrent()`-flagged VMs (CON).
-    Con,
-    /// ASMan adaptive coscheduling with per-VM Monitoring Modules.
-    Asman,
-}
+use asman_core::AsmanConfig;
+use asman_hypervisor::{Machine, MachineConfig, VmSpec};
 
 /// Fluent builder for a simulated machine.
 ///
@@ -87,7 +78,7 @@ pub enum Policy {
 /// ```
 pub struct SimulationBuilder {
     cfg: MachineConfig,
-    policy: Policy,
+    sched: Sched,
     asman: AsmanConfig,
     vms: Vec<VmSpec>,
 }
@@ -104,7 +95,7 @@ impl SimulationBuilder {
     pub fn new() -> Self {
         SimulationBuilder {
             cfg: MachineConfig::default(),
-            policy: Policy::Credit,
+            sched: Sched::Credit,
             asman: AsmanConfig::default(),
             vms: Vec::new(),
         }
@@ -122,9 +113,9 @@ impl SimulationBuilder {
         self
     }
 
-    /// Scheduling policy.
-    pub fn policy(mut self, p: Policy) -> Self {
-        self.policy = p;
+    /// Scheduler: Credit, CON or ASMan.
+    pub fn policy(mut self, sched: Sched) -> Self {
+        self.sched = sched;
         self
     }
 
@@ -135,7 +126,7 @@ impl SimulationBuilder {
     }
 
     /// Override ASMan's monitor/learning parameters (used with
-    /// [`Policy::Asman`]).
+    /// [`Sched::Asman`]).
     pub fn asman_config(mut self, cfg: AsmanConfig) -> Self {
         self.asman = cfg;
         self
@@ -147,37 +138,20 @@ impl SimulationBuilder {
         self
     }
 
-    /// Assemble the machine.
+    /// Assemble the machine (see [`Sched::setup`]).
     pub fn build(self) -> Machine {
-        match self.policy {
-            Policy::Credit => Machine::new(
-                MachineConfig {
-                    policy: CoschedPolicy::None,
-                    ..self.cfg
-                },
-                self.vms,
-            ),
-            Policy::Con => Machine::new(
-                MachineConfig {
-                    policy: CoschedPolicy::Static,
-                    ..self.cfg
-                },
-                self.vms,
-            ),
-            Policy::Asman => asman_machine(
-                AsmanConfig {
-                    machine: self.cfg,
-                    ..self.asman
-                },
-                self.vms,
-            ),
-        }
+        let tune = AsmanConfig {
+            machine: self.cfg,
+            ..self.asman
+        };
+        let (cfg, vms) = self.sched.setup(tune, self.vms);
+        Machine::new(cfg, vms)
     }
 }
 
 /// Everything a typical experiment needs, in one import.
 pub mod prelude {
-    pub use crate::{Policy, SimulationBuilder};
+    pub use crate::{Sched, SimulationBuilder};
     pub use asman_core::{asman_machine, AsmanConfig, AsmanMonitor, LearningConfig};
     pub use asman_guest::{GuestCosts, MonitorConfig, Vcrd};
     pub use asman_hypervisor::{CapMode, CoschedPolicy, Machine, MachineConfig, VmSpec};
@@ -202,17 +176,8 @@ mod tests {
                 .vm(VmSpec::new("v", 1, Box::new(job)))
                 .build()
         };
-        assert_eq!(
-            mk(crate::Policy::Credit).config().policy,
-            CoschedPolicy::None
-        );
-        assert_eq!(
-            mk(crate::Policy::Con).config().policy,
-            CoschedPolicy::Static
-        );
-        assert_eq!(
-            mk(crate::Policy::Asman).config().policy,
-            CoschedPolicy::Adaptive
-        );
+        assert_eq!(mk(Sched::Credit).config().policy, CoschedPolicy::None);
+        assert_eq!(mk(Sched::Con).config().policy, CoschedPolicy::Static);
+        assert_eq!(mk(Sched::Asman).config().policy, CoschedPolicy::Adaptive);
     }
 }

@@ -2,7 +2,7 @@
 
 use asman::prelude::*;
 
-fn capped_lu(policy: Policy, seed: u64) -> Machine {
+fn capped_lu(policy: Sched, seed: u64) -> Machine {
     let lu = NasSpec::new(NasBenchmark::LU, ProblemClass::S, 4).build(seed ^ 7);
     let dom0 = BackgroundService::new(BackgroundConfig::default(), 8, seed ^ 0xD0);
     SimulationBuilder::new()
@@ -18,7 +18,7 @@ fn capped_lu(policy: Policy, seed: u64) -> Machine {
 #[test]
 fn vcrd_lifecycle_raises_and_expires() {
     let clk = Clock::default();
-    let mut m = capped_lu(Policy::Asman, 42);
+    let mut m = capped_lu(Sched::Asman, 42);
     m.run_to_completion(clk.secs(600));
     // Let the last estimation window expire: with the workload finished
     // there are no further over-threshold waits, so the timer must bring
@@ -45,9 +45,9 @@ fn vcrd_lifecycle_raises_and_expires() {
 #[test]
 fn coscheduling_improves_simultaneity_and_runtime() {
     let clk = Clock::default();
-    let mut credit = capped_lu(Policy::Credit, 42);
+    let mut credit = capped_lu(Sched::Credit, 42);
     credit.run_to_completion(clk.secs(600));
-    let mut asman = capped_lu(Policy::Asman, 42);
+    let mut asman = capped_lu(Sched::Asman, 42);
     asman.run_to_completion(clk.secs(600));
 
     let t_credit = credit.vm_kernel(1).stats().finished_at.unwrap();
@@ -70,9 +70,9 @@ fn coscheduling_improves_simultaneity_and_runtime() {
 #[test]
 fn coscheduling_reduces_over_threshold_waits() {
     let clk = Clock::default();
-    let mut credit = capped_lu(Policy::Credit, 42);
+    let mut credit = capped_lu(Sched::Credit, 42);
     credit.run_to_completion(clk.secs(600));
-    let mut asman = capped_lu(Policy::Asman, 42);
+    let mut asman = capped_lu(Sched::Asman, 42);
     asman.run_to_completion(clk.secs(600));
     // Normalise by run length: rate of extreme waits per simulated second.
     let rate = |m: &Machine| {
@@ -89,7 +89,7 @@ fn coscheduling_reduces_over_threshold_waits() {
 #[test]
 fn baselines_never_raise_vcrd() {
     let clk = Clock::default();
-    for policy in [Policy::Credit, Policy::Con] {
+    for policy in [Sched::Credit, Sched::Con] {
         let mut m = capped_lu(policy, 42);
         m.run_to_completion(clk.secs(600));
         assert_eq!(m.vm_accounting(1).vcrd_raises, 0, "{policy:?}");
@@ -109,7 +109,7 @@ fn con_coschedules_only_flagged_vms() {
     };
     let mut m = SimulationBuilder::new()
         .seed(5)
-        .policy(Policy::Con)
+        .policy(Sched::Con)
         .vm(VmSpec::new("flagged", 4, mk(1)).concurrent())
         .vm(VmSpec::new("unflagged", 4, mk(2)))
         .build();
@@ -132,8 +132,8 @@ fn asman_matches_credit_at_full_rate() {
         m.run_to_completion(clk.secs(120));
         clk.to_secs(m.vm_kernel(0).stats().finished_at.unwrap())
     };
-    let credit = run(Policy::Credit);
-    let asman = run(Policy::Asman);
+    let credit = run(Sched::Credit);
+    let asman = run(Sched::Asman);
     assert!(
         (asman / credit - 1.0).abs() < 0.05,
         "at 100%: Credit {credit:.2}s vs ASMan {asman:.2}s"

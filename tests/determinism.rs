@@ -2,9 +2,9 @@
 //! configuration and seed.
 
 use asman::prelude::*;
-use asman::report::{Sched, SingleVmScenario};
+use asman::report::SingleVmScenario;
 
-fn fingerprint(seed: u64, policy: Policy) -> (u64, u64, u64, u64) {
+fn fingerprint(seed: u64, policy: Sched) -> (u64, u64, u64, u64) {
     let lu = NasSpec::new(NasBenchmark::LU, ProblemClass::S, 4).build(seed ^ 7);
     let dom0 = BackgroundService::new(BackgroundConfig::default(), 8, seed ^ 0xD0);
     let mut m = SimulationBuilder::new()
@@ -28,39 +28,36 @@ fn fingerprint(seed: u64, policy: Policy) -> (u64, u64, u64, u64) {
 #[test]
 fn same_seed_same_everything_credit() {
     assert_eq!(
-        fingerprint(11, Policy::Credit),
-        fingerprint(11, Policy::Credit)
+        fingerprint(11, Sched::Credit),
+        fingerprint(11, Sched::Credit)
     );
 }
 
 #[test]
 fn same_seed_same_everything_asman() {
-    assert_eq!(
-        fingerprint(11, Policy::Asman),
-        fingerprint(11, Policy::Asman)
-    );
+    assert_eq!(fingerprint(11, Sched::Asman), fingerprint(11, Sched::Asman));
 }
 
 #[test]
 fn different_seeds_diverge() {
     // Wake jitter and workload jitter differ, so at least the event count
     // or the finish time must differ.
-    let a = fingerprint(1, Policy::Credit);
-    let b = fingerprint(2, Policy::Credit);
+    let a = fingerprint(1, Sched::Credit);
+    let b = fingerprint(2, Sched::Credit);
     assert_ne!(a, b, "distinct seeds should not produce identical runs");
 }
 
 #[test]
 fn policies_share_workload_but_not_schedule() {
-    let credit = fingerprint(5, Policy::Credit);
-    let asman = fingerprint(5, Policy::Asman);
+    let credit = fingerprint(5, Sched::Credit);
+    let asman = fingerprint(5, Sched::Asman);
     // Different schedulers, same workload: event streams diverge.
     assert_ne!(credit.3, asman.3);
 }
 
 #[test]
 fn repeated_construction_is_stable_across_policies() {
-    for policy in [Policy::Credit, Policy::Con, Policy::Asman] {
+    for policy in [Sched::Credit, Sched::Con, Sched::Asman] {
         assert_eq!(
             fingerprint(33, policy),
             fingerprint(33, policy),

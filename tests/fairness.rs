@@ -21,7 +21,7 @@ fn sync_heavy(threads: usize, seed: u64) -> Box<asman::workloads::PhasedProgram>
 
 /// Run two busy VMs with the given weights and return their online-rate
 /// ratio.
-fn share_ratio(policy: Policy, w0: u32, w1: u32) -> f64 {
+fn share_ratio(policy: Sched, w0: u32, w1: u32) -> f64 {
     let clk = Clock::default();
     let mut m = SimulationBuilder::new()
         .pcpus(4)
@@ -38,7 +38,7 @@ fn share_ratio(policy: Policy, w0: u32, w1: u32) -> f64 {
 
 #[test]
 fn equal_weights_share_equally_under_all_policies() {
-    for policy in [Policy::Credit, Policy::Con, Policy::Asman] {
+    for policy in [Sched::Credit, Sched::Con, Sched::Asman] {
         let r = share_ratio(policy, 256, 256);
         assert!((r - 1.0).abs() < 0.1, "{policy:?}: ratio {r}");
     }
@@ -46,7 +46,7 @@ fn equal_weights_share_equally_under_all_policies() {
 
 #[test]
 fn double_weight_doubles_share() {
-    for policy in [Policy::Credit, Policy::Asman] {
+    for policy in [Sched::Credit, Sched::Asman] {
         let r = share_ratio(policy, 512, 256);
         assert!((r - 2.0).abs() < 0.35, "{policy:?}: ratio {r}");
     }
@@ -58,7 +58,7 @@ fn nwc_cap_holds_under_asman_coscheduling() {
     // fairness. A capped sync-heavy VM must not exceed its share even
     // when ASMan aggressively coschedules it.
     let clk = Clock::default();
-    for policy in [Policy::Credit, Policy::Asman] {
+    for policy in [Sched::Credit, Sched::Asman] {
         let mut m = SimulationBuilder::new()
             .seed(4)
             .policy(policy)
@@ -105,7 +105,7 @@ fn coscheduling_does_not_starve_third_parties() {
     let clk = Clock::default();
     let mut m = SimulationBuilder::new()
         .seed(8)
-        .policy(Policy::Asman)
+        .policy(Sched::Asman)
         .vm(VmSpec::new("sync", 4, sync_heavy(4, 3)).concurrent())
         .vm(VmSpec::new("b1", 4, busy(4)))
         .vm(VmSpec::new("b2", 4, busy(4)))

@@ -61,8 +61,8 @@ fn lock_holder_preemption_exists_and_coscheduling_removes_it() {
             s.wait_hist.count_at_least_pow2(20),
         )
     };
-    let (t_credit, lhp_credit, over_credit) = run(Policy::Credit);
-    let (t_asman, _, _) = run(Policy::Asman);
+    let (t_credit, lhp_credit, over_credit) = run(Sched::Credit);
+    let (t_asman, _, _) = run(Sched::Asman);
     assert!(lhp_credit > 0, "lock-holder preemption must occur at 22.2%");
     assert!(over_credit > 0, "over-threshold waits must occur at 22.2%");
     assert!(
@@ -119,8 +119,8 @@ fn ep_is_insensitive_to_the_scheduler() {
         m.run_to_completion(clk.secs(600));
         clk.to_secs(m.vm_kernel(1).stats().finished_at.unwrap())
     };
-    let credit = run(Policy::Credit);
-    let asman = run(Policy::Asman);
+    let credit = run(Sched::Credit);
+    let asman = run(Sched::Asman);
     assert!(
         (asman / credit - 1.0).abs() < 0.10,
         "EP: Credit {credit:.1}s vs ASMan {asman:.1}s"

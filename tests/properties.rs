@@ -80,7 +80,7 @@ proptest! {
             let mut m = SimulationBuilder::new()
                 .pcpus(pcpus)
                 .seed(seed)
-                .policy(Policy::Asman)
+                .policy(Sched::Asman)
                 .vm(VmSpec::new("g", 2, Box::new(cg)).weight(weight))
                 .build();
             m.run_to_completion(Clock::default().secs(120));
