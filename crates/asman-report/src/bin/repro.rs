@@ -144,9 +144,9 @@ const FLAGS: &[Flag] = &[
         help: "measured rounds of the multi-VM figures (default 10)",
         set: |a, v| at_least(v, 1).map(|n| a.params.rounds = n) },
     Flag { name: "--jobs", value: "N", targets: EVERY & !SWEEP,
-        help: "worker threads; 0 = one per core (default 0). Results are bit-identical \
-               for every value",
-        set: |a, v| num(v).map(|n| a.params.jobs = n) },
+        help: "worker threads, at most 128; 0 = one per core (default 0). Results are \
+               bit-identical for every value",
+        set: |a, v| at_most(v, MAX_JOBS).map(|n| a.params.jobs = n) },
     Flag { name: "--json", value: "DIR",
         targets: FIGS | EXTENSIONS | TRACE | ABLATIONS | AUDIT | CLUSTER | SERIES | SOAK,
         help: "also write the JSON artifacts (raw series, reports, checkpoints) into DIR",
@@ -237,6 +237,12 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--csv", value: "", targets: SWEEP, help: "print CSV instead of a table",
         set: |a, _| { a.csv = true; Ok(()) } },
 ];
+
+/// The most workers `--jobs` takes. Every runner spawns `jobs − 1`
+/// threads, and a run builds one runner per cluster plus one per
+/// `cluster` policy sweep, so a mistyped count would ask the OS for
+/// that many threads several times over.
+const MAX_JOBS: usize = 128;
 
 /// Flags a resumed soak honours; the checkpoint fixes everything else.
 const RESUME_KEEPS: [&str; 6] = [
@@ -355,6 +361,14 @@ fn at_least<T: FromStr + PartialOrd + Display>(v: &str, min: T) -> Result<T, Str
     let n = num(v)?;
     if n < min {
         return Err(format!("must be at least {min}"));
+    }
+    Ok(n)
+}
+
+fn at_most<T: FromStr + PartialOrd + Display>(v: &str, max: T) -> Result<T, String> {
+    let n = num(v)?;
+    if n > max {
+        return Err(format!("must be at most {max}"));
     }
     Ok(n)
 }
@@ -1084,6 +1098,25 @@ mod tests {
             );
             assert_ne!(f.targets, 0, "{} is read by no target", f.name);
             assert!(usage.contains(f.name), "usage documents {}", f.name);
+        }
+    }
+
+    /// `--jobs` refuses a count above [`MAX_JOBS`] while parsing, before
+    /// any runner spawns a thread, and keeps `0` for one per core.
+    #[test]
+    fn jobs_is_bounded() {
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.long() == "--jobs")
+            .expect("--jobs flag");
+        let set = |v: &str| {
+            let mut a = Args::default();
+            (flag.set)(&mut a, v).map(|()| a.params.jobs)
+        };
+        assert_eq!(set("0"), Ok(0));
+        assert_eq!(set("128"), Ok(128));
+        for v in ["129", "100000"] {
+            assert_eq!(set(v), Err("must be at most 128".to_string()), "--jobs {v}");
         }
     }
 }

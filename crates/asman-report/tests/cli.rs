@@ -96,6 +96,10 @@ fn bad_cluster_flags_exit_two() {
 fn bad_jobs_flags_exit_two() {
     assert_usage_error(&["--jobs", "banana"], "`banana` is not a number");
     assert_usage_error(&["cluster", "--jobs", "2x"], "`2x` is not a number");
+    assert_usage_error(
+        &["cluster", "--jobs", "100000"],
+        "--jobs: must be at most 128",
+    );
 }
 
 /// `--jobs 0` means "one worker per core" everywhere (SweepRunner's

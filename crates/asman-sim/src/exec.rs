@@ -14,10 +14,29 @@
 //!   then runs the balancer serially at the barrier
 //!   (`asman-cluster::Cluster::run_epoch`).
 //!
-//! [`SweepRunner::new`] spawns the helpers once; between calls they
-//! park on a condition variable, so a caller that sweeps often (the
-//! cluster driver sweeps once per epoch) spawns and joins no thread
-//! per call. Dropping the runner joins them.
+//! [`SweepRunner::new`] spawns the helpers once, so a caller that
+//! sweeps often (the cluster driver sweeps once per epoch) spawns and
+//! joins no thread per call. Dropping the runner joins them.
+//!
+//! **Claim order.** The calling thread is worker 0 and helper `k` is
+//! worker `k`. With `n` cells and `J` workers, worker `w` owns the
+//! contiguous block `[w·n/J, (w+1)·n/J)` and claims the cells of its
+//! own block first, through a cursor per block; then it claims what is
+//! left of the other blocks, in turn. So a cluster's host `h` is
+//! advanced by the same worker, and usually from the same core's
+//! cache, epoch after epoch; a worker that runs dry still takes over
+//! the others' leftovers.
+//!
+//! **Handoff.** Between calls a helper parks on a condition variable,
+//! and the caller parks on another while the last helper finishes. Both
+//! waits are usually short in a cluster run (the serial barrier between
+//! two epochs takes a few µs, and a helper's last cell one host advance
+//! of tens of µs), and a futex sleep adds a wake-up of several µs to
+//! each. So a waiter first polls for a bounded time (50 µs) and parks
+//! only if the wait outlasts it; a wake is signalled only to a waiter
+//! that is actually parked. Polling pays only while every worker has a
+//! core of its own: a runner with more workers than
+//! [`std::thread::available_parallelism`] parks at once.
 //!
 //! Cells share no state, so determinism is preserved because
 //! parallelism never reaches inside a simulation, and results are
@@ -29,9 +48,16 @@
 //! by construction (slot `i` always holds cell `i`'s result).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// How long a waiter polls before it parks. It outlasts the waits it
+/// is meant to catch in a cluster run, the serial barrier (about 3 µs)
+/// and a helper's last host advance (20–45 µs), and is short beside a
+/// figure sweep's cells, where the wait is a whole simulation.
+const SPIN: Duration = Duration::from_micros(50);
 
 /// Best-effort text of a panic payload (`panic!` with a string covers
 /// every cell in practice; anything else degrades to a placeholder).
@@ -44,9 +70,9 @@ fn payload_msg(payload: &(dyn std::any::Any + Send)) -> &str {
 }
 
 /// A published sweep as the helpers see it: the drain loop of one
-/// [`SweepRunner::run`] call, its borrow lifetime erased by
-/// [`Pool::drain_with_helpers`].
-type Job = &'static (dyn Fn() + Sync);
+/// [`SweepRunner::run`] call, called with the worker's index, its
+/// borrow lifetime erased by [`Pool::drain_with_helpers`].
+type Job = &'static (dyn Fn(usize) + Sync);
 
 /// Pool state shared by the callers and the helpers.
 struct State {
@@ -54,21 +80,34 @@ struct State {
     generation: u64,
     /// The job being drained; `None` between calls.
     job: Option<Job>,
-    /// Helpers currently running `job`.
-    active: usize,
     /// A `run` call owns the pool, from publishing its job until no
     /// helper still holds it.
     busy: bool,
     /// Set when the runner is dropped: helpers exit.
     shutdown: bool,
+    /// Helpers parked on `wake`.
+    parked: usize,
+    /// The owning caller is parked on `idle`.
+    caller_parked: bool,
 }
 
 struct Shared {
     state: Mutex<State>,
+    /// `State::generation`, stored under the lock, which helpers poll
+    /// without it. It publishes nothing else (a helper reads the job
+    /// under the lock), so its accesses are `Relaxed`.
+    published: AtomicU64,
+    /// Helpers currently running `job`. Changed only under the lock; the
+    /// caller polls it without the lock and decides under it, so the
+    /// lock orders it and its accesses are `Relaxed`.
+    active: AtomicUsize,
     /// Helpers park here between jobs.
     wake: Condvar,
-    /// The caller waits here for `active` to fall to zero.
+    /// The caller parks here for `active` to fall to zero.
     idle: Condvar,
+    /// Waiters poll for [`SPIN`] before parking: every worker has a
+    /// core of its own.
+    spin: bool,
 }
 
 impl Shared {
@@ -80,38 +119,58 @@ impl Shared {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// A helper's life: park until a job of a generation it has not
-    /// run is published, join its drain, and repeat until shutdown.
-    fn serve(&self) {
+    /// Poll `done` for up to [`SPIN`] when spinning is on. Only a hint:
+    /// every waiter decides under the lock afterwards.
+    fn poll(&self, done: impl Fn() -> bool) {
+        if !self.spin {
+            return;
+        }
+        let t0 = Instant::now();
+        while !done() && t0.elapsed() < SPIN {
+            std::hint::spin_loop();
+        }
+    }
+
+    /// Helper `worker`'s life: wait until a job of a generation it has
+    /// not run is published, join its drain, and repeat until shutdown.
+    fn serve(&self, worker: usize) {
         let mut seen = 0;
         let mut st = self.lock();
         while !st.shutdown {
             match st.job {
                 Some(job) if st.generation != seen => {
                     seen = st.generation;
-                    st.active += 1;
+                    self.active.fetch_add(1, Ordering::Relaxed);
                     drop(st);
                     {
                         let _leave = Leave(self);
-                        job();
+                        job(worker);
                     }
+                    self.poll(|| self.published.load(Ordering::Relaxed) != seen);
                     st = self.lock();
                 }
-                _ => st = self.wake.wait(st).unwrap_or_else(PoisonError::into_inner),
+                _ => {
+                    st.parked += 1;
+                    st = self.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
+                    st.parked -= 1;
+                }
             }
         }
     }
 }
 
 /// Counts a helper out of the job it took, on return and on unwind,
-/// and wakes the caller when it was the last one.
+/// and wakes the caller when it was the last one and the caller is
+/// parked.
 struct Leave<'a>(&'a Shared);
 
 impl Drop for Leave<'_> {
     fn drop(&mut self) {
-        let mut st = self.0.lock();
-        st.active -= 1;
-        if st.active == 0 {
+        let st = self.0.lock();
+        let last = self.0.active.fetch_sub(1, Ordering::Relaxed) == 1;
+        let wake = last && st.caller_parked;
+        drop(st);
+        if wake {
             self.0.idle.notify_all();
         }
     }
@@ -125,49 +184,63 @@ struct Retire<'a>(&'a Shared);
 
 impl Drop for Retire<'_> {
     fn drop(&mut self) {
-        let mut st = self.0.lock();
+        let shared = self.0;
+        let mut st = shared.lock();
         st.job = None;
-        while st.active > 0 {
-            st = self.0.idle.wait(st).unwrap_or_else(PoisonError::into_inner);
+        if shared.active.load(Ordering::Relaxed) > 0 {
+            drop(st);
+            shared.poll(|| shared.active.load(Ordering::Relaxed) == 0);
+            st = shared.lock();
+            while shared.active.load(Ordering::Relaxed) > 0 {
+                st.caller_parked = true;
+                st = shared.idle.wait(st).unwrap_or_else(PoisonError::into_inner);
+                st.caller_parked = false;
+            }
         }
         st.busy = false;
     }
 }
 
-/// The parked helper threads and the state they share with callers.
+/// The helper threads and the state they share with callers.
 struct Pool {
     shared: Arc<Shared>,
     helpers: Vec<JoinHandle<()>>,
 }
 
 impl Pool {
-    fn spawn(helpers: usize) -> Pool {
+    /// Spawn workers `1..=helpers`; the caller is worker 0.
+    fn spawn(helpers: usize, spin: bool) -> Pool {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 generation: 0,
                 job: None,
-                active: 0,
                 busy: false,
                 shutdown: false,
+                parked: 0,
+                caller_parked: false,
             }),
+            published: AtomicU64::new(0),
+            active: AtomicUsize::new(0),
             wake: Condvar::new(),
             idle: Condvar::new(),
+            spin,
         });
-        let helpers = (0..helpers)
-            .map(|_| {
+        let helpers = (1..=helpers)
+            .map(|worker| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || shared.serve())
+                std::thread::spawn(move || shared.serve(worker))
             })
             .collect();
         Pool { shared, helpers }
     }
 
-    /// Run `drain` on the calling thread and on every helper, returning
-    /// once no helper still runs it. Returns `false` without running
-    /// anything when another call owns the pool: a cell sweeping on
-    /// the runner that executes it, or a second thread sharing it.
-    fn drain_with_helpers(&self, drain: &(dyn Fn() + Sync)) -> bool {
-        {
+    /// Run `drain(0)` on the calling thread and `drain(k)` on helper
+    /// `k`, returning once no helper still runs it. Returns `false`
+    /// without running anything when another call owns the pool: a cell
+    /// sweeping on the runner that executes it, or a second thread
+    /// sharing it.
+    fn drain_with_helpers(&self, drain: &(dyn Fn(usize) + Sync)) -> bool {
+        let parked = {
             let mut st = self.shared.lock();
             if st.busy {
                 return false;
@@ -175,28 +248,44 @@ impl Pool {
             // SAFETY: only the borrow lifetime is erased; the type and
             // layout are unchanged. Helpers call the job only after
             // taking it from `State::job` under the lock, counted in
-            // `active`. The `Retire` guard, created right after this
-            // block and dropped when this function returns or unwinds,
-            // withdraws the job under the lock (no helper can take it
-            // after that) and then waits until `active` is zero (every
-            // helper that took it has returned from it). So every call
+            // `active`, which changes only under the lock. The `Retire`
+            // guard, created right after this block and dropped when
+            // this function returns or unwinds, withdraws the job under
+            // the lock (no helper can take it after that) and then
+            // waits until it reads `active` as zero under the lock
+            // (every helper that took it has returned from it; polling
+            // `active` first only delays that check). So every call
             // through the erased reference ends before `drain`, which
             // the caller's frame owns, can go out of scope.
-            let job = unsafe { std::mem::transmute::<&(dyn Fn() + Sync), Job>(drain) };
+            let job = unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), Job>(drain) };
             st.busy = true;
             st.generation += 1;
             st.job = Some(job);
-        }
+            self.shared
+                .published
+                .store(st.generation, Ordering::Relaxed);
+            st.parked > 0
+        };
         let _retire = Retire(&self.shared);
-        self.shared.wake.notify_all();
-        drain();
+        if parked {
+            self.shared.wake.notify_all();
+        }
+        drain(0);
         true
     }
 }
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.lock().shutdown = true;
+        {
+            let mut st = self.shared.lock();
+            st.shutdown = true;
+            // A new generation ends a polling helper's wait at once.
+            st.generation += 1;
+            self.shared
+                .published
+                .store(st.generation, Ordering::Relaxed);
+        }
         self.shared.wake.notify_all();
         for helper in self.helpers.drain(..) {
             // Cells run under `catch_unwind`, so a helper can only have
@@ -207,9 +296,8 @@ impl Drop for Pool {
     }
 }
 
-/// Executes a sweep's cells on a persistent pool of parked helper
-/// threads plus the calling thread, returning results in deterministic
-/// cell order.
+/// Executes a sweep's cells on a persistent pool of helper threads plus
+/// the calling thread, returning results in deterministic cell order.
 pub struct SweepRunner {
     jobs: usize,
     /// `None` when `jobs <= 1`: every sweep is a plain in-order loop.
@@ -219,16 +307,22 @@ pub struct SweepRunner {
 impl SweepRunner {
     /// Runner with an explicit worker count; `0` selects
     /// [`std::thread::available_parallelism`]. Spawns the `jobs − 1`
-    /// helper threads, which live until the runner is dropped.
+    /// helper threads, which live until the runner is dropped. Its
+    /// waiters poll before parking only if `jobs` is at most the
+    /// available parallelism.
     pub fn new(jobs: usize) -> Self {
-        let jobs = if jobs == 0 {
+        let cores = || {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
-        } else {
-            jobs
         };
-        let pool = (jobs > 1).then(|| Pool::spawn(jobs - 1));
+        // A one-worker runner has no pool, so it does not ask the OS.
+        let (jobs, spin) = match jobs {
+            0 => (cores(), true),
+            1 => (1, false),
+            n => (n, n <= cores()),
+        };
+        let pool = (jobs > 1).then(|| Pool::spawn(jobs - 1, spin));
         SweepRunner { jobs, pool }
     }
 
@@ -245,12 +339,14 @@ impl SweepRunner {
     /// Run every cell and return their results in cell order.
     ///
     /// With one job (or at most one cell) this is an ordinary sequential
-    /// loop on the calling thread. Otherwise the calling thread and the
-    /// helpers claim cells through an atomic cursor — claim order is
-    /// racy, but each result lands in its own cell's slot, so the
-    /// returned `Vec` is independent of thread scheduling. A call made
-    /// while another owns the pool (a cell sweeping on this same
-    /// runner, or a second thread) claims every cell on its own thread.
+    /// loop on the calling thread. Otherwise worker `w` (the calling
+    /// thread is worker 0) claims the cells of its own block
+    /// `[w·n/J, (w+1)·n/J)` first and then what is left of the other
+    /// blocks, in turn; which worker runs a leftover cell is racy, but
+    /// each result lands in its own cell's slot, so the returned `Vec`
+    /// is independent of thread scheduling. A call made while another
+    /// owns the pool (a cell sweeping on this same runner, or a second
+    /// thread) runs every block, in cell order, on its own thread.
     ///
     /// A panicking cell does not unwind through the pool: every cell
     /// runs under `catch_unwind`, every helper finishes the sweep
@@ -273,36 +369,44 @@ impl SweepRunner {
                 })
                 .collect();
         };
+        let jobs = self.jobs;
         let slots: Vec<Mutex<Option<F>>> = cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
         let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let panicked: Mutex<Option<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
-        // The cursor only hands out indices; cells and results travel
-        // through the slot mutexes, so it needs no ordering.
-        let cursor = AtomicUsize::new(0);
-        let drain = || loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            let cell = slots[i]
-                .lock()
-                .expect("cell slot poisoned")
-                .take()
-                .expect("cell claimed twice");
-            match catch_unwind(AssertUnwindSafe(cell)) {
-                Ok(out) => {
-                    *results[i].lock().expect("result slot poisoned") = Some(out);
-                }
-                Err(p) => {
-                    let mut first = panicked.lock().expect("panic slot poisoned");
-                    if first.as_ref().is_none_or(|&(j, _)| i < j) {
-                        *first = Some((i, p));
+        // Worker `w`'s block is `[start(w), start(w + 1))`.
+        let start = |w: usize| w * n / jobs;
+        // The cursors only hand out indices; cells and results travel
+        // through the slot mutexes, so they need no ordering.
+        let cursors: Vec<AtomicUsize> = (0..jobs).map(|w| AtomicUsize::new(start(w))).collect();
+        let drain = |worker: usize| {
+            for block in (worker..jobs).chain(0..worker) {
+                let end = start(block + 1);
+                loop {
+                    let i = cursors[block].fetch_add(1, Ordering::Relaxed);
+                    if i >= end {
+                        break;
+                    }
+                    let cell = slots[i]
+                        .lock()
+                        .expect("cell slot poisoned")
+                        .take()
+                        .expect("cell claimed twice");
+                    match catch_unwind(AssertUnwindSafe(cell)) {
+                        Ok(out) => {
+                            *results[i].lock().expect("result slot poisoned") = Some(out);
+                        }
+                        Err(p) => {
+                            let mut first = panicked.lock().expect("panic slot poisoned");
+                            if first.as_ref().is_none_or(|&(j, _)| i < j) {
+                                *first = Some((i, p));
+                            }
+                        }
                     }
                 }
             }
         };
         if !pool.drain_with_helpers(&drain) {
-            drain();
+            drain(0);
         }
         if let Some((i, p)) = panicked.into_inner().expect("panic slot poisoned") {
             panic!("sweep cell {i} panicked: {}", payload_msg(p.as_ref()));
@@ -479,5 +583,85 @@ mod tests {
             .map(|i| (0..4).map(|j| i * 10 + j).collect())
             .collect();
         assert_eq!(out, want);
+    }
+
+    /// Each worker starts on its own block: with two workers over 16
+    /// cells the caller owns cells 0–7 and the helper cells 8–15. Cell
+    /// 0 (the caller's first) waits at a two-party barrier that only
+    /// cell 8 opens, so the helper must come in; its first cell is 8,
+    /// the head of its own block, not the caller's next cell 1.
+    #[test]
+    fn each_worker_starts_on_its_own_block() {
+        let runner = SweepRunner::new(2);
+        let barrier = std::sync::Barrier::new(2);
+        let log = Mutex::new(Vec::new());
+        let caller = std::thread::current().id();
+        runner.map((0..16usize).collect(), |i| {
+            log.lock().unwrap().push((i, std::thread::current().id()));
+            if i == 0 || i == 8 {
+                barrier.wait();
+            }
+        });
+        let log = log.into_inner().unwrap();
+        let helper_first = log.iter().find(|&&(_, t)| t != caller).map(|&(i, _)| i);
+        assert_eq!(helper_first, Some(8), "claim log: {log:?}");
+    }
+
+    /// Back-to-back sweeps on one runner, with caller gaps below and
+    /// above the polling bound: a helper finds the next job while it
+    /// polls, or is woken from its park. Every sweep returns in cell
+    /// order.
+    #[test]
+    fn back_to_back_sweeps_across_the_polling_bound() {
+        let gaps = [
+            Duration::ZERO,
+            Duration::from_micros(10),
+            Duration::from_millis(1),
+        ];
+        assert!(gaps[1] < SPIN && SPIN < gaps[2]);
+        let runner = SweepRunner::new(2);
+        for gap in gaps {
+            for round in 0..200u64 {
+                let t0 = Instant::now();
+                while t0.elapsed() < gap {
+                    std::hint::spin_loop();
+                }
+                let out = runner.map((0..16u64).collect(), |i| i * round);
+                assert_eq!(out, (0..16).map(|i| i * round).collect::<Vec<_>>());
+            }
+        }
+    }
+
+    /// Dropping a runner right after a sweep ends its helpers' polling
+    /// at once and joins them.
+    #[test]
+    fn drop_right_after_a_sweep_joins_promptly() {
+        for _ in 0..100 {
+            let runner = SweepRunner::new(3);
+            assert_eq!(
+                runner.map((0..6u32).collect(), |i| i + 1),
+                [1, 2, 3, 4, 5, 6]
+            );
+            let t0 = Instant::now();
+            drop(runner);
+            assert!(
+                t0.elapsed() < Duration::from_secs(1),
+                "drop took {:?}",
+                t0.elapsed()
+            );
+        }
+    }
+
+    /// More workers than cells leaves some blocks empty (the caller's
+    /// too, below eight cells): every cell still runs once, in order.
+    #[test]
+    fn more_workers_than_cells() {
+        let runner = SweepRunner::new(8);
+        for n in 1..=7usize {
+            assert_eq!(
+                runner.map((0..n).collect(), |i| i * 3),
+                (0..n).map(|i| i * 3).collect::<Vec<_>>()
+            );
+        }
     }
 }

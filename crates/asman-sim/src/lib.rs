@@ -37,10 +37,11 @@
 //!   captured in the cluster driver's serial barrier.
 //! * [`audit`] — the [`SimQueue`] trait shared by the optimized queue
 //!   and the naive [`OracleQueue`] used for differential auditing.
-//! * [`exec`] — the [`SweepRunner`] persistent worker pool (parked
-//!   helper threads plus the calling thread) that executes independent
-//!   cells (figure sweeps, cluster host advancement) in parallel with
-//!   results in deterministic cell order.
+//! * [`exec`] — the [`SweepRunner`] persistent worker pool (helper
+//!   threads plus the calling thread, each worker claiming its own
+//!   block of cells first) that executes independent cells (figure
+//!   sweeps, cluster host advancement) in parallel with results in
+//!   deterministic cell order.
 
 #![warn(missing_docs)]
 
